@@ -11,6 +11,7 @@ reading an explicitly configured density file.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -162,6 +163,12 @@ def load_config(path: Optional[str] = None, environ=None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    # nan and inf pass every comparison below, so reject them first
+    for name in _SECTIONS:
+        for key, value in vars(getattr(cfg, name)).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"[{name}] {key} must be finite, got {value!r}")
     m = cfg.model
     if not 1 <= m.dimension <= 3:
         raise ConfigError(f"dimension must be 1, 2 or 3, got {m.dimension}")

@@ -22,6 +22,10 @@ The default integrator is the implicit midpoint rule, which is symplectic
 and conserves Q exactly (as it does every quadratic invariant); classical
 RK4 is available as an independent cross-check and a Strang splitting with
 exact free flight handles stiff kinetic phases without iteration.
+
+Every evaluation goes through a flow plan (``_FlowPlan``): the arrays fixed
+by the basis and sigma, with rho, the right-hand side and the energy
+computed on raw (c, q, p) arrays.  ``evolve`` builds one plan per call.
 """
 
 from __future__ import annotations
@@ -33,14 +37,8 @@ import numpy as np
 
 from .density import IonDensityModel
 from .errors import DimensionMismatchError, IntegratorError
-from .fermions import CIVector, apply_one_body_potential, one_body_density
-from .torus import (
-    FourierScalarField,
-    coulomb_energy,
-    frequency_table,
-    green_apply,
-    lattice_points,
-)
+from .fermions import CIVector
+from .torus import FourierScalarField, frequency_table, lattice_points
 
 METHODS = ("implicit_midpoint", "rk4", "splitting")
 
@@ -98,21 +96,69 @@ class CrystalState:
         )
 
 
-def _ion_phases(state: CrystalState) -> np.ndarray:
-    """exp(i xi (n + q(n))) as an (n_freq, n_ions) array."""
-    table = frequency_table(state.spec)
-    positions = lattice_points(state.spec) + state.ions.q
-    return np.exp(1j * table.xi @ positions.T)
+class _FlowPlan:
+    """Fixed arrays of the flow for one (basis, sigma), and the flow on raw arrays."""
+
+    def __init__(self, basis, sigma: IonDensityModel):
+        spec = basis.spec
+        if sigma.spec != spec:
+            raise DimensionMismatchError("density model lives on a different torus")
+        table = frequency_table(spec)
+        self.substitutions = basis.substitutions()
+        self.ixi = 1j * table.xi
+        self.sites = lattice_points(spec).astype(float)
+        self.sigma_hat = sigma.field.values
+        self.conj_sigma_hat = np.conj(sigma.field.values)
+        # the Coulomb weight 1 / |xi|^2 on xi != 0; xi = 0 is dropped
+        self.zero = table.zero
+        self.nonzero = np.arange(table.size) != table.zero
+        self.xi_sq = np.where(self.nonzero, table.xi_sq, 1.0)
+        self.kinetic = basis.kinetic
+        self.volume = spec.volume
+        self.e = sigma.e
+
+    def ion_phases(self, q: np.ndarray) -> np.ndarray:
+        """exp(i xi (n + q(n))) as an (n_freq, n_ions) array."""
+        return np.exp(self.ixi @ (self.sites + q).T)
+
+    def rho(self, c: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """Total charge density: electron cloud plus the displaced ion sum."""
+        electrons = -self.e * self.substitutions.transition_values(c, c)
+        return electrons + self.sigma_hat * phases.sum(axis=1)
+
+    def potential(self, rho: np.ndarray) -> np.ndarray:
+        """Phi = G rho with the xi = 0 coefficient dropped."""
+        phi = rho / self.xi_sq
+        phi[self.zero] = 0.0
+        return phi
+
+    def forces(self, phi: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        weights = self.ixi * (phi * self.conj_sigma_hat)[:, None]
+        return (np.conj(phases).T @ weights).real / self.volume
+
+    def energy(self, c, q, p, mass) -> float:
+        kinetic_e = float((self.kinetic * np.abs(c) ** 2).sum())
+        rho = self.rho(c, self.ion_phases(q))
+        terms = np.abs(rho[self.nonzero]) ** 2 / self.xi_sq[self.nonzero]
+        coulomb = float(terms.sum() / (2.0 * self.volume))
+        kinetic_i = float((p**2).sum() / (2.0 * mass))
+        return kinetic_e + coulomb + kinetic_i
+
+
+def _rhs_raw(plan: _FlowPlan, c, q, p, mass):
+    """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays."""
+    phases = plan.ion_phases(q)
+    phi = plan.potential(plan.rho(c, phases))
+    coupling = plan.substitutions.potential_values(c, phi)
+    c_dot = -1j * (plan.kinetic * c - plan.e * coupling)
+    return c_dot, p / mass, plan.forces(phi, phases)
 
 
 def assemble_rho(state: CrystalState, sigma: IonDensityModel) -> FourierScalarField:
     """Total charge density: displaced ion sum plus the electron cloud."""
-    if sigma.spec != state.spec:
-        raise DimensionMismatchError("density model lives on a different torus")
-    ion_values = sigma.field.values * _ion_phases(state).sum(axis=1)
-    rho = one_body_density(state.psi, sigma.e)
-    rho.values += ion_values
-    return rho
+    plan = _FlowPlan(state.psi.basis, sigma)
+    rho = plan.rho(state.psi.values, plan.ion_phases(state.ions.q))
+    return FourierScalarField(state.spec, rho)
 
 
 def energy(state: CrystalState, sigma: IonDensityModel) -> float:
@@ -123,30 +169,19 @@ def energy(state: CrystalState, sigma: IonDensityModel) -> float:
     energy and the same gradient structure, which the stability probes rely
     on.
     """
-    basis = state.psi.basis
-    kinetic_e = float((basis.kinetic * np.abs(state.psi.values) ** 2).sum())
-    rho = assemble_rho(state, sigma)
-    coulomb = coulomb_energy(rho, enforce_neutrality=False)
-    kinetic_i = float((state.ions.p**2).sum() / (2.0 * state.ions.mass))
-    return kinetic_e + coulomb + kinetic_i
+    plan = _FlowPlan(state.psi.basis, sigma)
+    return plan.energy(state.psi.values, state.ions.q, state.ions.p, state.ions.mass)
 
 
-def forces(
-    state: CrystalState,
-    sigma: IonDensityModel,
-    phi: Optional[FourierScalarField] = None,
-) -> np.ndarray:
+def forces(state: CrystalState, sigma: IonDensityModel) -> np.ndarray:
     """f(n) = -(grad Phi, sigma(. - n - q(n))), one row per ion.
 
     Equal to -dE/dq(n) for the truncated energy, which is what the
     finite-difference cross-checks verify.
     """
-    table = frequency_table(state.spec)
-    if phi is None:
-        phi = green_apply(assemble_rho(state, sigma), enforce_neutrality=False)
-    weights = 1j * table.xi * (phi.values * np.conj(sigma.field.values))[:, None]
-    phases = np.conj(_ion_phases(state))
-    return (phases.T @ weights).real / state.spec.volume
+    plan = _FlowPlan(state.psi.basis, sigma)
+    phases = plan.ion_phases(state.ions.q)
+    return plan.forces(plan.potential(plan.rho(state.psi.values, phases)), phases)
 
 
 @dataclass(eq=False)
@@ -158,33 +193,10 @@ class StateDerivative:
 
 def rhs(state: CrystalState, sigma: IonDensityModel) -> StateDerivative:
     """Right-hand side of the coupled flow at the given state."""
-    c_dot, q_dot, p_dot = _rhs_raw(
-        state.psi.values, state.ions.q, state.ions.p, state.psi.basis, sigma,
-        state.ions.mass,
-    )
-    return StateDerivative(CIVector(state.psi.basis, c_dot), q_dot, p_dot)
-
-
-def _rhs_raw(c, q, p, basis, sigma, mass):
-    spec = basis.spec
-    table = frequency_table(spec)
-    psi = CIVector(basis, c)
-    positions = lattice_points(spec) + q
-    phases = np.exp(1j * table.xi @ positions.T)
-    rho = one_body_density(psi, sigma.e)
-    rho.values += sigma.field.values * phases.sum(axis=1)
-    phi = green_apply(rho, enforce_neutrality=False)
-    coupling = apply_one_body_potential(psi, phi)
-    c_dot = -1j * (basis.kinetic * c - sigma.e * coupling.values)
-    weights = 1j * table.xi * (phi.values * np.conj(sigma.field.values))[:, None]
-    p_dot = (np.conj(phases).T @ weights).real / spec.volume
-    return c_dot, p / mass, p_dot
-
-
-def _coupling_raw(c, q, p, basis, sigma, mass):
-    """The non-free part of the flow: (i e Phi tensor psi, p / M, f)."""
-    c_dot, q_dot, p_dot = _rhs_raw(c, q, p, basis, sigma, mass)
-    return c_dot + 1j * basis.kinetic * c, q_dot, p_dot
+    basis = state.psi.basis
+    c_dot, q_dot, p_dot = _rhs_raw(_FlowPlan(basis, sigma), state.psi.values,
+                                   state.ions.q, state.ions.p, state.ions.mass)
+    return StateDerivative(CIVector(basis, c_dot), q_dot, p_dot)
 
 
 @dataclass(eq=False)
@@ -240,29 +252,32 @@ def evolve(
 
     basis = state.psi.basis
     mass = state.ions.mass
+    plan = _FlowPlan(basis, sigma)
     c = state.psi.values.copy()
     q = state.ions.q.astype(float).copy()
     p = state.ions.p.astype(float).copy()
 
+    t_log, e_log, q_log, r_log, i_log = [], [], [], [], []
+
+    def record(time, residual, iterations):
+        t_log.append(time)
+        e_log.append(plan.energy(c, q, p, mass))
+        q_log.append(float((np.abs(c) ** 2).sum()))
+        r_log.append(residual)
+        i_log.append(iterations)
+        if observer is not None:
+            observer(time, CrystalState(CIVector(basis, c.copy()),
+                                        IonState(q.copy(), p.copy(), mass)))
+
+    record(0.0, 0.0, 0)
+
     def rhs_of(c_, q_, p_):
-        return _rhs_raw(c_, q_, p_, basis, sigma, mass)
-
-    def energy_of(c_, q_, p_):
-        psi = CIVector(basis, c_)
-        st = CrystalState(psi, IonState(q_, p_, mass))
-        return energy(st, sigma)
-
-    t_log = [0.0]
-    e_log = [energy_of(c, q, p)]
-    q_log = [float((np.abs(c) ** 2).sum())]
-    r_log = [0.0]
-    i_log = [0]
-    if observer is not None:
-        observer(0.0, CrystalState(CIVector(basis, c.copy()),
-                                   IonState(q.copy(), p.copy(), mass)))
+        return _rhs_raw(plan, c_, q_, p_, mass)
 
     def coupling_of(c_, q_, p_):
-        return _coupling_raw(c_, q_, p_, basis, sigma, mass)
+        # the non-free part of the flow: (i e Phi tensor psi, p / M, f)
+        c_dot, q_dot, p_dot = rhs_of(c_, q_, p_)
+        return c_dot + 1j * basis.kinetic * c_, q_dot, p_dot
 
     def step_midpoint(c_, q_, p_, step, time):
         cm, qm, pm, residual, iterations = _fixed_point_midpoint(
@@ -295,14 +310,7 @@ def evolve(
         c, q, p, residual, iterations = stepper(c, q, p, step, time)
         q = np.mod(q, state.spec.cells_per_axis)
         time = step * dt
-        t_log.append(time)
-        e_log.append(energy_of(c, q, p))
-        q_log.append(float((np.abs(c) ** 2).sum()))
-        r_log.append(residual)
-        i_log.append(iterations)
-        if observer is not None:
-            observer(time, CrystalState(CIVector(basis, c.copy()),
-                                        IonState(q.copy(), p.copy(), mass)))
+        record(time, residual, iterations)
 
     final = CrystalState(CIVector(basis, c), IonState(q, p, mass))
     log = EvolutionLog(

@@ -191,6 +191,25 @@ class SubstitutionTable:
         self.sign = np.array(sign)
         self.delta = np.array(delta, dtype=np.intp)
         self.neg_delta = np.array(neg_delta, dtype=np.intp)
+        self.n_freq = table.size
+        self.zero = table.zero
+        self.n_electrons = basis.n_electrons
+        self.volume = basis.spec.volume
+
+    def transition_values(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Coefficients of ``transition_density`` for raw CI arrays c, d."""
+        out = np.zeros(self.n_freq, dtype=complex)
+        np.add.at(out, self.delta, c[self.src] * np.conj(d[self.dst]) * self.sign)
+        out[self.zero] += self.n_electrons * np.vdot(d, c)
+        return out
+
+    def potential_values(self, c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Values of ``apply_one_body_potential`` for raw c and Phi_hat arrays."""
+        volume = self.volume
+        out = np.zeros(c.size, dtype=complex)
+        np.add.at(out, self.dst, c[self.src] * self.sign * phi[self.neg_delta] / volume)
+        out += self.n_electrons * phi[self.zero] / volume * c
+        return out
 
 
 class DeterminantBasis:
@@ -263,12 +282,6 @@ def ci_inner(psi: CIVector, chi: CIVector) -> complex:
     return complex(np.vdot(chi.values, psi.values))
 
 
-def h1_inner(psi: CIVector, chi: CIVector) -> complex:
-    """H^1 pairing with weight 1 + sum_j |xi_j|^2 per determinant."""
-    weight = 1.0 + psi.basis.ksq_total
-    return complex((weight * psi.values * np.conj(chi.values)).sum())
-
-
 def h1_norm(psi: CIVector) -> float:
     weight = 1.0 + psi.basis.ksq_total
     return float(np.sqrt((weight * np.abs(psi.values) ** 2).sum()))
@@ -288,14 +301,8 @@ def transition_density(psi: CIVector, chi: CIVector) -> FourierScalarField:
     if chi.basis is not psi.basis:
         raise DimensionMismatchError("transition density needs a shared basis")
     basis = psi.basis
-    table = frequency_table(basis.spec)
-    sub = basis.substitutions()
-    out = np.zeros(table.size, dtype=complex)
-    np.add.at(
-        out, sub.delta, psi.values[sub.src] * np.conj(chi.values[sub.dst]) * sub.sign
-    )
-    out[table.zero] += basis.n_electrons * np.vdot(chi.values, psi.values)
-    return FourierScalarField(basis.spec, out)
+    values = basis.substitutions().transition_values(psi.values, chi.values)
+    return FourierScalarField(basis.spec, values)
 
 
 def one_body_density(psi: CIVector, e: float) -> FourierScalarField:
@@ -315,12 +322,4 @@ def apply_one_body_potential(psi: CIVector, phi: FourierScalarField) -> CIVector
     basis = psi.basis
     if phi.spec != basis.spec:
         raise DimensionMismatchError("potential lives on a different torus")
-    table = phi.table
-    sub = basis.substitutions()
-    volume = basis.spec.volume
-    out = np.zeros(basis.size, dtype=complex)
-    np.add.at(
-        out, sub.dst, psi.values[sub.src] * sub.sign * phi.values[sub.neg_delta] / volume
-    )
-    out += basis.n_electrons * phi.values[table.zero] / volume * psi.values
-    return CIVector(basis, out)
+    return CIVector(basis, basis.substitutions().potential_values(psi.values, phi.values))

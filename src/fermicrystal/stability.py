@@ -41,10 +41,8 @@ from .errors import AdmissibilityError, DimensionMismatchError, ModelRefusalErro
 from .fermions import (
     CIVector,
     DeterminantBasis,
-    apply_kinetic,
     check_adr,
     ground_occupations,
-    h1_inner,
     h1_norm,
     transition_density,
 )
@@ -403,29 +401,37 @@ class DistanceResult:
     momentum_part: float
 
 
-def distance_to_manifold(state: CrystalState, gs: GroundState) -> DistanceResult:
+def _distance_context(gs: GroundState) -> tuple:
+    """The H^1 weight, psi0, the shift candidates and N of one ground state."""
+    n = gs.spec.cells_per_axis
+    return 1.0 + gs.basis.ksq_total, gs.psi0.values, np.arange(16) * (n / 16.0), n
+
+
+def distance_to_manifold(state: CrystalState, gs: GroundState,
+                         context: Optional[tuple] = None) -> DistanceResult:
     """d(X, S): infimum over phase and lattice shift of the orbit metric.
 
     The phase minimizer is closed form, alpha = arg <psi, psi0>_{H^1}; the
     shift minimizes the wrapped quadratic per axis (the objective is
     separable), scanned on a 16-point grid and polished by fixed-point
     recentering steps r <- r + mean(wrap(q - r)), which is Newton's method
-    on the smooth branches.
+    on the smooth branches.  ``context`` is ``_distance_context(gs)``, built once.
     """
     if state.psi.basis is not gs.basis:
         raise DimensionMismatchError("state and ground state use different bases")
-    z = h1_inner(state.psi, gs.psi0)
+    context = _distance_context(gs) if context is None else context
+    return _distance(state.psi.values, state.ions.q, state.ions.p, *context)
+
+
+def _distance(c, q, p, weight, psi0, candidates, n) -> DistanceResult:
+    z = complex((weight * c * np.conj(psi0)).sum())
     alpha = float(np.angle(z)) if z != 0 else 0.0
-    diff = state.psi.values - np.exp(1j * alpha) * gs.psi0.values
-    weight = 1.0 + gs.basis.ksq_total
+    diff = c - np.exp(1j * alpha) * psi0
     psi_part = float(np.sqrt((weight * np.abs(diff) ** 2).sum()))
 
-    n = gs.spec.cells_per_axis
-    q = state.ions.q
-    r_best = np.zeros(gs.spec.dimension)
-    for axis in range(gs.spec.dimension):
+    r_best = np.zeros(q.shape[1])
+    for axis in range(q.shape[1]):
         column = q[:, axis]
-        candidates = np.arange(16) * (n / 16.0)
         wrapped = (column[None, :] - candidates[:, None] + n / 2.0) % n - n / 2.0
         best = int(np.argmin((wrapped**2).sum(axis=1)))
         r_axis = float(candidates[best])
@@ -438,7 +444,7 @@ def distance_to_manifold(state: CrystalState, gs: GroundState) -> DistanceResult
         r_best[axis] = r_axis % n
     wrapped = (q - r_best[None, :] + n / 2.0) % n - n / 2.0
     ion_part = float(np.linalg.norm(wrapped))
-    momentum_part = float(np.linalg.norm(state.ions.p))
+    momentum_part = float(np.linalg.norm(p))
     return DistanceResult(
         psi_part + ion_part + momentum_part, alpha, r_best,
         psi_part, ion_part, momentum_part,
@@ -522,9 +528,10 @@ def run_trajectory(
     else:
         initial = perturbed_state(gs, perturbation, delta)
     distances = []
+    context = _distance_context(gs)
 
     def observer(t, state):
-        distances.append(distance_to_manifold(state, gs).distance)
+        distances.append(distance_to_manifold(state, gs, context).distance)
 
     _, log = evolve(initial, gs.sigma, dt, duration, method=method,
                     fp_tol=fp_tol, observer=observer)

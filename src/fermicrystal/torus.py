@@ -170,31 +170,12 @@ class FourierScalarField:
     def zeros(cls, spec: TorusSpec) -> "FourierScalarField":
         return cls(spec, np.zeros(frequency_table(spec).size, dtype=complex))
 
-    @classmethod
-    def from_coefficients(cls, spec: TorusSpec, coefficients) -> "FourierScalarField":
-        """Build a field from a mapping {h tuple: amplitude}."""
-        field = cls.zeros(spec)
-        table = frequency_table(spec)
-        for h, value in coefficients.items():
-            field.values[table.position(h)] = value
-        return field
-
     @property
     def table(self) -> FrequencyTable:
         return frequency_table(self.spec)
 
     def coefficient(self, h) -> complex:
         return complex(self.values[self.table.position(h)])
-
-    def items(self):
-        """Iterate (h tuple, coefficient) pairs in table order."""
-        for row, value in zip(self.table.h.tolist(), self.values):
-            yield tuple(row), complex(value)
-
-    @property
-    def mean_value(self) -> complex:
-        """Spatial mean of the field, F[f](0) / |T|."""
-        return complex(self.values[self.table.zero] / self.spec.volume)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """Whether coefficients are conjugate symmetric, so f is real-valued."""

@@ -111,6 +111,22 @@ def test_missing_file_rejected():
     ("stability", "deltas", ()),
     ("stability", "deltas", (-0.1,)),
     ("output", "stride", 0),
+    # nan and inf compare false against every bound, so each float field
+    # needs its own finiteness check
+    ("model", "cutoff_radius", float("inf")),
+    ("model", "amplitude", float("nan")),
+    ("model", "decay", float("inf")),
+    ("model", "charge", float("inf")),
+    ("model", "coupling", float("nan")),
+    ("basis", "ksq_budget", float("nan")),
+    ("dynamics", "dt", float("nan")),
+    ("dynamics", "duration", float("inf")),
+    ("dynamics", "fp_tol", float("nan")),
+    ("dynamics", "mass", float("nan")),
+    ("stability", "dt", float("inf")),
+    ("stability", "duration", float("nan")),
+    ("stability", "fp_tol", float("inf")),
+    ("stability", "deltas", (1e-3, float("nan"))),
 ])
 def test_validate_config_failures(patch):
     section, key, value = patch
@@ -256,6 +272,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     path.write_text("[widgets]\nsize = 3\n")
     assert main(["--config", str(path), "density"]) == 1
     assert "widgets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("DYNAMICS_DT", "nan"),
+    ("DYNAMICS_DURATION", "inf"),
+    ("BASIS_KSQ_BUDGET", "nan"),
+])
+def test_exit_code_non_finite_config(tmp_path, monkeypatch, capsys, key, raw):
+    monkeypatch.setenv(f"FERMICRYSTAL_{key}", raw)
+    assert main(["--out", str(tmp_path / "o"), "evolve"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_exit_code_bad_density_file(tmp_path, capsys):

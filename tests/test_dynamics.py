@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermicrystal import dynamics
 from fermicrystal import (
     CIVector,
     CrystalState,
@@ -12,6 +13,7 @@ from fermicrystal import (
     TorusSpec,
     assemble_rho,
     box_density,
+    build_ground_state,
     ci_inner,
     coulomb_energy,
     dft_inverse,
@@ -23,7 +25,9 @@ from fermicrystal import (
     ground_occupations,
     lattice_points,
     one_body_density,
+    perturbed_state,
     rhs,
+    sample_tangent_perturbation,
 )
 
 
@@ -246,6 +250,39 @@ def test_observer_and_log_shape(basis1d, sigma1d):
     assert log.t.shape == (11,)
     assert log.energy.shape == (11,)
     assert log.t[0] == 0.0 and log.t[-1] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "rk4", "splitting"])
+def test_evolve_builds_lattice_once(basis1d, sigma1d, monkeypatch, method):
+    # the flow's fixed arrays are built once per call, not once per step
+    state = random_state(basis1d, seed=12)
+    calls = []
+    original = dynamics.lattice_points
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(dynamics, "lattice_points", counting)
+    evolve(state, sigma1d, dt=1e-3, duration=0.02, method=method)
+    assert len(calls) <= 1
+
+
+def test_midpoint_pinned_numbers():
+    # criterion 4's initial state over 200 steps: the iteration counts and
+    # the final energy and charge of the implementation as first pinned, so
+    # a rewrite of the step cannot change the fixed-point solve unnoticed
+    spec = TorusSpec(1, 2, 16)
+    basis = enumerate_basis(spec, 20.0 * np.pi**2)
+    sigma = box_density(spec, 1)
+    gs = build_ground_state(basis, sigma)
+    direction = sample_tangent_perturbation(gs, np.random.default_rng(42))
+    initial = perturbed_state(gs, direction, 0.01)
+    _, log = evolve(initial, sigma, dt=1e-3, duration=0.2,
+                    method="implicit_midpoint")
+    assert log.iterations.tolist() == [0] + [7] * 200
+    assert log.energy[-1] == pytest.approx(4.934846492800253, rel=1e-12)
+    assert log.charge[-1] == pytest.approx(1.0000000000000004, rel=1e-12)
 
 
 def test_displacements_wrapped(basis1d, sigma1d):
