@@ -180,6 +180,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown model kind {m.kind!r}")
     if m.kind == "file" and not m.density_file:
         raise ConfigError("model kind 'file' requires density_file")
+    if m.kind == "file" and m.cutoff_radius != 0:
+        raise ConfigError(
+            "model kind 'file' runs at the spectral default cutoff, so "
+            f"cutoff_radius must be 0, got {m.cutoff_radius}"
+        )
     if m.kind == "box" and m.profile_exponent < 1:
         raise ConfigError("profile_exponent must be at least 1")
     if m.kind == "perturbed_box":
@@ -235,7 +240,15 @@ def build_model(cfg: RunConfig) -> IonDensityModel:
         return perturbed_box_density(spec, k=m.profile_exponent,
                                      amplitude=m.amplitude, decay=m.decay,
                                      Z=m.charge, e=m.coupling)
-    return load_density_file(m.density_file)
+    model = load_density_file(m.density_file)
+    found = (model.spec.dimension, model.spec.cells_per_axis, model.spec.grid_per_axis)
+    wanted = (m.dimension, m.cells_per_axis, m.grid_per_axis)
+    if found != wanted:
+        raise ConfigError(
+            f"density file {m.density_file} has (d, N, n_g) = {found}, "
+            f"but the config sets {wanted}"
+        )
+    return model
 
 
 def build_basis(cfg: RunConfig, spec: TorusSpec) -> DeterminantBasis:

@@ -248,17 +248,21 @@ def linearized_density(gs: GroundState, y: TangentVector) -> LinearizedDensity:
     )
 
 
+def _coulomb_weights(spec) -> np.ndarray:
+    """w = 1/(|xi|^2 |T|) per retained frequency, with the xi = 0 weight zeroed."""
+    table = frequency_table(spec)
+    weights = np.zeros(table.size)
+    mask = np.arange(table.size) != table.zero
+    weights[mask] = 1.0 / (table.xi_sq[mask] * spec.volume)
+    return weights
+
+
 def quadratic_form(gs: GroundState, y: TangentVector) -> float:
     """(1/2) <Y, E''(S) Y> evaluated directly from the expansion terms."""
     basis = gs.basis
-    table = frequency_table(gs.spec)
     kinetic = float((basis.kinetic * np.abs(y.phi.values) ** 2).sum())
     rho1 = linearized_density(gs, y).total
-    mask = np.arange(table.size) != table.zero
-    coulomb = float(
-        (np.abs(rho1.values[mask]) ** 2 / table.xi_sq[mask]).sum()
-        / (2.0 * gs.spec.volume)
-    )
+    coulomb = 0.5 * float((_coulomb_weights(gs.spec) * np.abs(rho1.values) ** 2).sum())
     momentum = float((y.pi**2).sum() / (2.0 * gs.mass))
     return kinetic + coulomb + momentum
 
@@ -310,17 +314,18 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
             column = 2 * b + site * spec.dimension + axis
             response[:, column] = base * table.xi[:, axis] * site_phase[:, site]
 
-    weights = np.zeros(table.size)
-    mask = np.arange(table.size) != table.zero
-    weights[mask] = 1.0 / (table.xi_sq[mask] * spec.volume)
-    coulomb = ((np.conj(response.T) * weights) @ response).real
+    # Re(R^H W R) = S^T S with S the real and imaginary parts of sqrt(W) R
+    # stacked; numpy hands A.T @ A to syrk, so the product is exactly symmetric
+    response *= np.sqrt(_coulomb_weights(spec))[:, None]
+    stacked = np.concatenate([response.real, response.imag])
+    matrix = stacked.T @ stacked
 
     diagonal = np.concatenate([
         2.0 * basis.kinetic, 2.0 * basis.kinetic,
         np.zeros(block), np.full(block, 1.0 / gs.mass),
     ])
-    matrix = coulomb + np.diag(diagonal)
-    return HessianForm(gs, 0.5 * (matrix + matrix.T))
+    matrix[np.diag_indices(n)] += diagonal
+    return HessianForm(gs, matrix)
 
 
 @dataclass(eq=False)
@@ -342,20 +347,43 @@ def hessian_spectrum(
     and the radial direction normal to the charge constraint; on it the
     form is positive definite exactly when no flat ion space exists.
     Eigenvalues with |lambda| <= kernel_rtol * max |lambda| count as kernel.
+
+    Only the coupled block is diagonalised.  The Coulomb part couples just
+    the ion displacements and the determinants one substitution away from
+    the ground state, so the other rows of an assembled form are exactly
+    diagonal.  A coordinate is coupled when its row has a nonzero
+    off-diagonal entry or, for the constrained subspace, when one of the
+    removed directions is nonzero there.  Listing the coupled coordinates
+    first makes the matrix block diagonal with a diagonal second block,
+    and the constrained subspace is the complement of the removed span
+    inside the coupled coordinates plus every uncoupled one.  The spectrum
+    is therefore the uncoupled diagonal entries together with the
+    eigenvalues of the (projected) coupled block: a permutation similarity,
+    exact rather than approximate, and a dense matrix simply has every
+    coordinate coupled.
     """
     matrix = form.matrix
+    diagonal = np.diagonal(matrix)
+    coupled = np.count_nonzero(matrix, axis=1) > (diagonal != 0)
     if subspace == "constrained":
         spanned = np.vstack([
             tangent_space_vectors(form.gs),
             charge_constraint_gradient(form.gs)[None, :],
         ])
-        _, singular, vh = np.linalg.svd(spanned, full_matrices=True)
+        coupled |= (spanned != 0).any(axis=0)
+        index = np.flatnonzero(coupled)
+        _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
         rank = int((singular > 1e-12 * singular[0]).sum())
         complement = vh[rank:]
-        matrix = complement @ matrix @ complement.T
-    elif subspace != "full":
+        block = complement @ matrix[np.ix_(index, index)] @ complement.T
+    elif subspace == "full":
+        index = np.flatnonzero(coupled)
+        block = matrix[np.ix_(index, index)]
+    else:
         raise ValueError(f"unknown subspace {subspace!r}")
-    eigenvalues = np.linalg.eigvalsh(matrix)
+    eigenvalues = np.sort(np.concatenate([
+        diagonal[~coupled], np.linalg.eigvalsh(block)
+    ]))
     scale = float(np.abs(eigenvalues).max(initial=0.0))
     tolerance = kernel_rtol * max(scale, 1e-300)
     kernel_dim = int((np.abs(eigenvalues) <= tolerance).sum())

@@ -295,9 +295,9 @@ def test_exit_code_bad_density_file(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_exit_code_model_refusal(tmp_path, capsys):
-    # a gaussian profile is a valid density file but not crystal compatible,
-    # so ground-state construction refuses it
+def _gaussian_density_file(tmp_path):
+    # a gaussian profile is a valid density file (d N n_g = 1 2 16) but not
+    # crystal compatible
     from fermicrystal import TorusSpec
 
     spec = TorusSpec(1, 2, 16)
@@ -309,12 +309,37 @@ def test_exit_code_model_refusal(tmp_path, capsys):
         f"1 2 {spec.grid_per_axis} 1.0 1.0\n"
         + " ".join(format(v, ".17g") for v in samples) + "\n"
     )
+    return blob
+
+
+def test_exit_code_model_refusal(tmp_path, capsys):
+    # ground-state construction refuses a density without the crystal property
+    blob = _gaussian_density_file(tmp_path)
     ini = tmp_path / "file.ini"
     ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n")
     code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
                  "ground-state"])
     assert code == 3
     assert "crystal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("dimension = 2", ("(1, 2, 16)", "(2, 2, 16)")),
+    ("cells_per_axis = 4", ("(1, 2, 16)", "(1, 4, 16)")),
+    ("grid_per_axis = 32", ("(1, 2, 16)", "(1, 2, 32)")),
+    ("cutoff_radius = 20.0", ("20.0", "0")),
+], ids=["dimension", "cells", "grid", "cutoff"])
+def test_exit_code_density_file_geometry(tmp_path, capsys, setting, named):
+    # the file fixes (d, N, n_g) and the default cutoff; a config asking for
+    # another geometry is refused instead of being recorded but not run
+    blob = _gaussian_density_file(tmp_path)
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n{setting}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
+                 "ground-state"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(value in err for value in named)
 
 
 def test_exit_code_capacity(tmp_path, capsys):

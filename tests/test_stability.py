@@ -34,7 +34,7 @@ from fermicrystal import (
     translation_perturbation,
     unpack_tangent,
 )
-from fermicrystal.stability import TangentVector, _displaced_state
+from fermicrystal.stability import HessianForm, TangentVector, _displaced_state
 
 
 def random_tangent(gs, seed, with_ions=True):
@@ -215,6 +215,78 @@ def test_hessian_spectrum_d2_dichotomy(basis2d, sigma2d_box, sigma2d_perturbed):
     constrained = hessian_spectrum(form, subspace="constrained")
     assert constrained.kernel_dim == 0
     assert constrained.lambda_min > 1e-4
+
+
+def removed_directions(gs):
+    return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
+
+
+def dense_spectrum(form, subspace, kernel_rtol=1e-9):
+    """Reference: diagonalise the whole matrix, or its projection onto the
+    full-size SVD complement of the removed directions."""
+    matrix = form.matrix
+    if subspace == "constrained":
+        spanned = removed_directions(form.gs)
+        _, singular, vh = np.linalg.svd(spanned, full_matrices=True)
+        rank = int((singular > 1e-12 * singular[0]).sum())
+        complement = vh[rank:]
+        matrix = complement @ matrix @ complement.T
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    tolerance = kernel_rtol * np.abs(eigenvalues).max()
+    return eigenvalues, int((np.abs(eigenvalues) <= tolerance).sum())
+
+
+def random_form(gs, seed, decoupled=(), zero_diagonal=()):
+    """A dense random symmetric matrix on the packed coordinates of gs, with
+    the off-diagonal entries of the ``decoupled`` rows and columns zeroed."""
+    rng = np.random.default_rng(seed)
+    n = pack_tangent(TangentVector.zeros(gs.basis)).size
+    a = rng.standard_normal((n, n))
+    matrix = a + a.T
+    for i in decoupled:
+        diagonal = matrix[i, i]
+        matrix[i, :] = 0.0
+        matrix[:, i] = 0.0
+        matrix[i, i] = diagonal
+    for i in zero_diagonal:
+        matrix[i, i] = 0.0
+    return HessianForm(gs, matrix)
+
+
+@pytest.mark.parametrize("case", [
+    "gs1d", "flat2d", "perturbed2d", "dense", "dense_decoupled",
+])
+def test_split_spectrum_matches_dense(case, gs1d, basis2d, sigma2d_box,
+                                      sigma2d_perturbed):
+    if case == "flat2d":
+        form = hessian_assemble(build_ground_state(basis2d, sigma2d_box))
+    elif case == "perturbed2d":
+        form = hessian_assemble(build_ground_state(basis2d, sigma2d_perturbed))
+    elif case == "dense":
+        form = random_form(gs1d, seed=13)
+    elif case == "dense_decoupled":
+        # decouple two coordinates the removed directions touch and two they
+        # do not, one of those with a zero diagonal: an exact kernel vector
+        support = np.flatnonzero((removed_directions(gs1d) != 0).any(axis=0))
+        outside = np.setdiff1d(np.arange(2 * gs1d.basis.size), support)
+        decoupled = [support[0], support[-1], outside[1], outside[4]]
+        form = random_form(gs1d, seed=14, decoupled=decoupled,
+                           zero_diagonal=[outside[4]])
+    else:
+        form = hessian_assemble(gs1d)
+    for subspace in ("full", "constrained"):
+        split = hessian_spectrum(form, subspace)
+        eigenvalues, kernel_dim = dense_spectrum(form, subspace)
+        scale = np.abs(eigenvalues).max()
+        assert split.eigenvalues.shape == eigenvalues.shape
+        np.testing.assert_allclose(split.eigenvalues, eigenvalues, rtol=0,
+                                   atol=1e-12 * scale)
+        assert split.kernel_dim == kernel_dim
+        # a kernel eigenvalue's sign is rounding noise; only compare it outside
+        if abs(eigenvalues.min()) > split.tolerance:
+            assert np.sign(split.lambda_min) == np.sign(eigenvalues.min())
+    if case == "dense_decoupled":
+        assert hessian_spectrum(form, "full").kernel_dim == 1
 
 
 def test_kernel_dims_stable_under_tolerance(basis2d, sigma2d_box):
