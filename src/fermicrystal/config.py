@@ -248,6 +248,11 @@ def build_model(cfg: RunConfig) -> IonDensityModel:
             f"density file {m.density_file} has (d, N, n_g) = {found}, "
             f"but the config sets {wanted}"
         )
+    if (model.Z, model.e) != (m.charge, m.coupling):
+        raise ConfigError(
+            f"density file {m.density_file} has (Z, e) = {(model.Z, model.e)}, "
+            f"but the config sets (charge, coupling) = {(m.charge, m.coupling)}"
+        )
     return model
 
 

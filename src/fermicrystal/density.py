@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FrequencyDomainError, InvalidDensityError
+from .errors import ConfigError, FrequencyDomainError, InvalidDensityError
 from .torus import (
     TWO_PI,
     FourierScalarField,
@@ -186,10 +186,14 @@ def fourier_density(
 def load_density_file(path) -> IonDensityModel:
     """Read a grid density file: header ``d N n_g Z e``, then n_g^d samples.
 
-    Samples are whitespace separated in C order (last axis fastest).
+    Samples are whitespace separated in C order (last axis fastest).  A path
+    that cannot be read raises :class:`ConfigError`.
     """
-    with open(path) as handle:
-        tokens = handle.read().split()
+    try:
+        with open(path) as handle:
+            tokens = handle.read().split()
+    except OSError as exc:
+        raise ConfigError(f"cannot read density file {path}: {exc.strerror}") from None
     if len(tokens) < 5:
         raise InvalidDensityError(f"density file {path}: missing header fields")
     try:

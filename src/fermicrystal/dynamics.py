@@ -19,9 +19,18 @@ truncation preserves the Hamiltonian structure instead of merely
 approximating it.
 
 The default integrator is the implicit midpoint rule, which is symplectic
-and conserves Q exactly (as it does every quadratic invariant); classical
-RK4 is available as an independent cross-check and a Strang splitting with
-exact free flight handles stiff kinetic phases without iteration.
+and conserves Q exactly (as it does every quadratic invariant).  Its stage
+X_mid = X_0 + (dt/2) F(X_mid) is solved by fixed-point iteration with the
+diagonal kinetic term K inverted exactly: writing F_c = -i K c + G(X) with
+G the coupling, each iterate sets
+
+    c_mid = c_0 + (dt/2) R (G(X_mid) - i K c_0),   R = 1 / (1 + i (dt/2) K),
+
+whose fixed point is the midpoint stage itself, so the scheme is unchanged
+while the contraction rate is set by the coupling alone, not by dt K.
+Classical RK4 is available as an independent cross-check, and a Strang
+splitting takes the kinetic phases as exact free flight and iterates its
+midpoint stage on the coupling only.
 
 Every evaluation goes through a flow plan (``_FlowPlan``): the arrays fixed
 by the basis and sigma, with rho, the right-hand side and the energy
@@ -239,8 +248,9 @@ def evolve(
     ``duration`` is rounded to a whole number of steps; negative ``dt``
     integrates backwards.  ``observer(t, state)`` runs after every step.
     The midpoint stages solve their implicit equation by fixed-point
-    iteration to ``fp_tol`` (or the round-off floor); failure to converge
-    raises :class:`IntegratorError` with step diagnostics.
+    iteration to ``fp_tol`` (or the round-off floor), the midpoint method
+    with the kinetic term inverted exactly; failure to converge raises
+    :class:`IntegratorError` with step diagnostics.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -274,14 +284,21 @@ def evolve(
     def rhs_of(c_, q_, p_):
         return _rhs_raw(plan, c_, q_, p_, mass)
 
+    free = 1j * basis.kinetic
+
     def coupling_of(c_, q_, p_):
         # the non-free part of the flow: (i e Phi tensor psi, p / M, f)
         c_dot, q_dot, p_dot = rhs_of(c_, q_, p_)
-        return c_dot + 1j * basis.kinetic * c_, q_dot, p_dot
+        return c_dot + free * c_, q_dot, p_dot
 
     def step_midpoint(c_, q_, p_, step, time):
+        def field(cm, qm, pm):
+            # R (c_dot + iK (c_mid - c0)) = R (G - iK c0): K inverted exactly
+            c_dot, q_dot, p_dot = rhs_of(cm, qm, pm)
+            return resolvent * (c_dot + free * (cm - c_)), q_dot, p_dot
+
         cm, qm, pm, residual, iterations = _fixed_point_midpoint(
-            c_, q_, p_, dt, rhs_of, fp_tol, max_iterations, step, time
+            c_, q_, p_, dt, field, fp_tol, max_iterations, step, time
         )
         return 2.0 * cm - c_, 2.0 * qm - q_, 2.0 * pm - p_, residual, iterations
 
@@ -289,6 +306,7 @@ def evolve(
         return _step_rk4(c_, q_, p_, dt, rhs_of)
 
     half_phase = np.exp(-0.5j * dt * basis.kinetic)
+    resolvent = 1.0 / (1.0 + 0.5j * dt * basis.kinetic)
 
     def step_splitting(c_, q_, p_, step, time):
         # exact free flight on the kinetic phases, midpoint on the coupling

@@ -30,6 +30,7 @@ what the long-time perturbation runs probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -457,22 +458,26 @@ def _distance(c, q, p, weight, psi0, candidates, n) -> DistanceResult:
     diff = c - np.exp(1j * alpha) * psi0
     psi_part = float(np.sqrt((weight * np.abs(diff) ** 2).sum()))
 
+    half = n / 2.0
     r_best = np.zeros(q.shape[1])
     for axis in range(q.shape[1]):
         column = q[:, axis]
-        wrapped = (column[None, :] - candidates[:, None] + n / 2.0) % n - n / 2.0
+        wrapped = (column[None, :] - candidates[:, None] + half) % n - half
         best = int(np.argmin((wrapped**2).sum(axis=1)))
         r_axis = float(candidates[best])
         for _ in range(20):
-            w = (column - r_axis + n / 2.0) % n - n / 2.0
-            step = float(w.mean())
+            w = (column - r_axis + half) % n - half
+            step = float(w.sum() / w.size)
             r_axis += step
             if abs(step) < 1e-15 * max(1.0, n):
                 break
         r_best[axis] = r_axis % n
-    wrapped = (q - r_best[None, :] + n / 2.0) % n - n / 2.0
-    ion_part = float(np.linalg.norm(wrapped))
-    momentum_part = float(np.linalg.norm(p))
+    # sum / size and sqrt(x @ x) give the bits of mean() and norm() without
+    # their per-call overhead, which shows in every step of a sweep
+    wrapped = ((q - r_best[None, :] + half) % n - half).ravel()
+    ion_part = math.sqrt(wrapped @ wrapped)
+    momenta = p.ravel()
+    momentum_part = math.sqrt(momenta @ momenta)
     return DistanceResult(
         psi_part + ion_part + momentum_part, alpha, r_best,
         psi_part, ion_part, momentum_part,

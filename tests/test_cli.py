@@ -342,6 +342,35 @@ def test_exit_code_density_file_geometry(tmp_path, capsys, setting, named):
     assert all(value in err for value in named)
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("charge = 2.5", ("(1.0, 1.0)", "(2.5, 1.0)")),
+    ("coupling = 3.0", ("(1.0, 1.0)", "(1.0, 3.0)")),
+], ids=["charge", "coupling"])
+def test_exit_code_density_file_charge(tmp_path, capsys, setting, named):
+    # the file's header fixes Z and e; a config asking for other values is
+    # refused instead of being recorded in the manifest but not run
+    blob = _gaussian_density_file(tmp_path)
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n{setting}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
+                 "ground-state"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(value in err for value in named)
+
+
+def test_exit_code_missing_density_file(tmp_path, capsys):
+    absent = tmp_path / "absent.txt"
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {absent}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
+                 "ground-state"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(absent) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_capacity(tmp_path, capsys):
     ini = tmp_path / "cap.ini"
     ini.write_text("[basis]\ncapacity = 1\n")
@@ -352,16 +381,34 @@ def test_exit_code_capacity(tmp_path, capsys):
 
 
 def test_exit_code_integrator(tmp_path, capsys):
+    # a perturbed state at dt = 2.5: the midpoint stage iteration diverges
     ini = tmp_path / "diverge.ini"
+    ini.write_text(
+        "[basis]\nksq_budget = 78.9568352087149\n"
+        "[stability]\ndt = 2.5\nduration = 5.0\ndeltas = 0.01\n"
+        "n_perturbations = 1\ninclude_controls = false\n"
+    )
+    with np.errstate(all="ignore"):
+        code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
+                     "stability"])
+    assert code == 5
+    capsys.readouterr()
+
+
+def test_ground_state_evolve_large_step(tmp_path):
+    # at the ground state the coupling vanishes, so the kinetic-exact stage
+    # solve converges at any dt and the step conserves charge and energy
+    ini = tmp_path / "large.ini"
     ini.write_text(
         "[basis]\nksq_budget = 78.9568352087149\n"
         "[dynamics]\ndt = 1.0\nduration = 5.0\nmax_iterations = 8\n"
     )
-    with np.errstate(all="ignore"):
-        code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
-                     "evolve"])
-    assert code == 5
-    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["--config", str(ini), "--out", str(out), "evolve"]) == 0
+    report = json.loads((out / "evolve_report.json").read_text())
+    assert report["steps"] == 5
+    assert report["max_charge_drift"] <= 1e-10
+    assert report["max_energy_drift"] <= 1e-8 * abs(report["final_energy"])
 
 
 def test_output_stride(tmp_path):

@@ -280,9 +280,40 @@ def test_midpoint_pinned_numbers():
     initial = perturbed_state(gs, direction, 0.01)
     _, log = evolve(initial, sigma, dt=1e-3, duration=0.2,
                     method="implicit_midpoint")
-    assert log.iterations.tolist() == [0] + [7] * 200
+    assert log.iterations.tolist() == [0] + [2] * 200
     assert log.energy[-1] == pytest.approx(4.934846492800253, rel=1e-12)
     assert log.charge[-1] == pytest.approx(1.0000000000000004, rel=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1e-3, -1e-3, 4e-3])
+def test_midpoint_step_solves_full_stage(basis1d, sigma1d, dt):
+    # the kinetic-exact stage solve changes the iteration, not the scheme:
+    # one step satisfies X1 = X0 + dt F((X0 + X1) / 2) for the full flow
+    state = random_state(basis1d, seed=13)
+    c0, q0, p0 = state.psi.values, state.ions.q, state.ions.p
+    final, _ = evolve(state, sigma1d, dt=dt, duration=dt)
+    n = basis1d.spec.cells_per_axis
+    c1, p1 = final.psi.values, final.ions.p
+    q1 = q0 + ((final.ions.q - q0 + n / 2.0) % n - n / 2.0)
+    plan = dynamics._FlowPlan(basis1d, sigma1d)
+    cd, qd, pd = dynamics._rhs_raw(plan, (c0 + c1) / 2, (q0 + q1) / 2,
+                                   (p0 + p1) / 2, state.ions.mass)
+    assert np.abs(c1 - c0 - dt * cd).max() <= 1e-12
+    assert np.abs(q1 - q0 - dt * qd).max() <= 1e-12
+    assert np.abs(p1 - p0 - dt * pd).max() <= 1e-12
+
+
+def test_midpoint_stage_iterations_bounded():
+    # criterion 4's state: with the kinetic term inverted exactly the
+    # stage iteration contracts at the rate of the coupling alone
+    spec = TorusSpec(1, 2, 16)
+    basis = enumerate_basis(spec, 20.0 * np.pi**2)
+    sigma = box_density(spec, 1)
+    gs = build_ground_state(basis, sigma)
+    direction = sample_tangent_perturbation(gs, np.random.default_rng(42))
+    initial = perturbed_state(gs, direction, 0.01)
+    _, log = evolve(initial, sigma, dt=1e-3, duration=0.05)
+    assert log.iterations[1:].max() <= 3
 
 
 def test_displacements_wrapped(basis1d, sigma1d):
