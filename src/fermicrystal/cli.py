@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -45,14 +44,7 @@ from .errors import (
     ModelRefusalError,
 )
 from .fermions import check_adr
-from .stability import (
-    hessian_assemble,
-    hessian_spectrum,
-    run_trajectory,
-    sample_tangent_perturbation,
-    stability_experiment,
-    translation_perturbation,
-)
+from .stability import hessian_assemble, hessian_spectrum, stability_experiment
 
 _EXIT_CODES = (
     (ConfigError, 1),
@@ -233,71 +225,28 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     return 0
 
 
-def _stability_worker(cfg_data: dict, seed: int, index: int) -> list:
-    """Run all deltas for one perturbation direction (separate process)."""
-    cfg = RunConfig.from_dict(cfg_data)
-    gs = build_ground(cfg)
-    stream = np.random.SeedSequence(seed).spawn(cfg.stability.n_perturbations)[index]
-    direction = sample_tangent_perturbation(gs, np.random.default_rng(stream))
-    s = cfg.stability
-    out = []
-    for delta in s.deltas:
-        record = run_trajectory(gs, direction, delta, s.duration, s.dt,
-                                s.method, s.fp_tol, label=f"perturbation-{index}")
-        out.append((record.label, record.delta, record.t, record.distance,
-                    record.energy, record.charge))
-    return out
-
-
 def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
                   workers: int) -> int:
     s = cfg.stability
     gs = build_ground(cfg)
-    if workers <= 1:
-        result = stability_experiment(
-            gs, s.deltas, n_perturbations=s.n_perturbations,
-            duration=s.duration, dt=s.dt, seed=seed, method=s.method,
-            fp_tol=s.fp_tol, include_controls=s.include_controls)
-        records = [(r.label, r.delta, r.t, r.distance, r.energy, r.charge)
-                   for r in result.records]
-    else:
-        records = []
-        if s.include_controls:
-            zero = run_trajectory(gs, None, 0.0, s.duration, s.dt, s.method,
-                                  s.fp_tol, label="zero")
-            records.append((zero.label, 0.0, zero.t, zero.distance,
-                            zero.energy, zero.charge))
-            for axis in range(gs.spec.dimension):
-                rec = run_trajectory(gs, translation_perturbation(gs, axis),
-                                     max(s.deltas), s.duration, s.dt, s.method,
-                                     s.fp_tol, label=f"translation-{axis}")
-                records.append((rec.label, rec.delta, rec.t, rec.distance,
-                                rec.energy, rec.charge))
-        cfg_data = cfg.to_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_stability_worker, cfg_data, seed, i)
-                       for i in range(s.n_perturbations)]
-            for future in futures:
-                records.extend(future.result())
-
+    result = stability_experiment(
+        gs, s.deltas, n_perturbations=s.n_perturbations,
+        duration=s.duration, dt=s.dt, seed=seed, method=s.method,
+        fp_tol=s.fp_tol, include_controls=s.include_controls, workers=workers)
     rows = []
-    sup_per_delta: dict = {}
     summary_rows = []
-    for label, delta, t, distance, energy_series, charge_series in records:
-        for i in _strided(len(t), cfg.output.stride):
-            rows.append((label, delta, t[i], distance[i], energy_series[i],
-                         charge_series[i]))
-        sup = float(np.max(distance))
+    for record in result.records:
+        for i in _strided(len(record.t), cfg.output.stride):
+            rows.append((record.label, record.delta, record.t[i],
+                         record.distance[i], record.energy[i], record.charge[i]))
         summary_rows.append({
-            "label": label,
-            "delta": delta,
-            "sup_distance": sup,
-            "final_distance": float(distance[-1]),
-            "max_energy_drift": float(np.abs(energy_series - energy_series[0]).max()),
-            "max_charge_drift": float(np.abs(charge_series - charge_series[0]).max()),
+            "label": record.label,
+            "delta": record.delta,
+            "sup_distance": record.sup_distance,
+            "final_distance": record.final_distance,
+            "max_energy_drift": record.max_energy_drift(),
+            "max_charge_drift": record.max_charge_drift(),
         })
-        if label.startswith("perturbation"):
-            sup_per_delta[delta] = max(sup_per_delta.get(delta, 0.0), sup)
     writer.write_csv(
         "trajectories.csv",
         ("label", "delta", "t", "distance", "E", "Q"), rows)
@@ -318,7 +267,8 @@ def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
         "n_perturbations": s.n_perturbations,
         "deltas": list(s.deltas),
         "sup_distance_per_delta": {
-            format(k, ".17g"): v for k, v in sorted(sup_per_delta.items())
+            format(k, ".17g"): v
+            for k, v in sorted(result.sup_distance_per_delta().items())
         },
         "trajectories": summary_rows,
     }
@@ -351,6 +301,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
         writer = ArtifactWriter(args.out, args.command, cfg, args.seed)
         if args.command == "density":

@@ -201,7 +201,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("ksq_budget must be nonnegative")
     if b.capacity < 1:
         raise ConfigError("capacity must be positive")
-    for name, dyn in (("dynamics", cfg.dynamics),):
+    for name, dyn in (("dynamics", cfg.dynamics), ("stability", cfg.stability)):
         if dyn.dt <= 0:
             raise ConfigError(f"[{name}] dt must be positive")
         if dyn.duration < 0:
@@ -210,13 +210,11 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"[{name}] method must be one of {METHODS}")
         if dyn.fp_tol <= 0:
             raise ConfigError(f"[{name}] fp_tol must be positive")
-        if dyn.mass <= 0:
-            raise ConfigError(f"[{name}] mass must be positive")
+    if cfg.dynamics.max_iterations < 1:
+        raise ConfigError("[dynamics] max_iterations must be at least 1")
+    if cfg.dynamics.mass <= 0:
+        raise ConfigError("[dynamics] mass must be positive")
     s = cfg.stability
-    if s.dt <= 0 or s.duration < 0:
-        raise ConfigError("[stability] dt must be positive and duration nonnegative")
-    if s.method not in METHODS:
-        raise ConfigError(f"[stability] method must be one of {METHODS}")
     if any(d < 0 for d in s.deltas) or not s.deltas:
         raise ConfigError("[stability] deltas must be a nonempty list of nonnegative values")
     if s.n_perturbations < 0:

@@ -40,6 +40,7 @@ from .torus import (
     dft_forward,
     dft_inverse,
     frequency_table,
+    integer_box,
     lattice_points,
 )
 
@@ -233,9 +234,7 @@ def jellium_check(
     radius = spec.cutoff_radius if radius is None else float(radius)
     if model.kind in ("box", "perturbed_box"):
         m_max = int(np.floor(radius / TWO_PI + 1e-9))
-        axis = np.arange(-m_max, m_max + 1)
-        mesh = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
-        m = np.stack([g.ravel() for g in mesh], axis=1)
+        m = integer_box(-m_max, m_max + 1, spec.dimension)
         m = m[np.any(m != 0, axis=1)]
         xi = TWO_PI * m.astype(float)
         keep = np.sqrt((xi**2).sum(axis=1)) <= radius + 1e-12
@@ -377,9 +376,7 @@ def _lattice_ball_tail(radius: float, dimension: int) -> float:
     """
     slack = np.pi * np.sqrt(dimension)
     m_max = int(np.ceil(4.0 * radius / TWO_PI)) + 1
-    axis = np.arange(-m_max, m_max + 1)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    m = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
+    m = integer_box(-m_max, m_max + 1, dimension).astype(float)
     r_grid = TWO_PI * np.sqrt((m**2).sum(axis=1))
     keep = r_grid + slack > radius
     r_low = np.maximum(r_grid[keep] - slack, np.pi)
@@ -420,9 +417,7 @@ def wiener_matrix(
         truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
     theta = spec.xi(h0)
     m_max = int(np.ceil((truncation_radius + np.linalg.norm(theta)) / TWO_PI)) + 1
-    axis = np.arange(-m_max, m_max + 1)
-    mesh = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
-    shifts = np.stack([g.ravel() for g in mesh], axis=1).astype(float)
+    shifts = integer_box(-m_max, m_max + 1, spec.dimension).astype(float)
     xi = theta[None, :] + TWO_PI * shifts
     r = np.sqrt((xi**2).sum(axis=1))
     keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
@@ -442,13 +437,6 @@ def wiener_matrix(
             c_decay = float(abs(model.charge))
         tail = c_decay**2 * _lattice_ball_tail(truncation_radius, spec.dimension)
     return matrix, tail
-
-
-def _dual_cell_points(spec: TorusSpec) -> list[tuple]:
-    n = spec.cells_per_axis
-    mesh = np.meshgrid(*([np.arange(n)] * spec.dimension), indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
-    return [tuple(int(c) for c in row) for row in points if any(row)]
 
 
 def wiener_report(
@@ -478,7 +466,8 @@ def wiener_report(
     tail_used = 0.0
     degenerate_rows = []
     seen_pairs = set()
-    for h in _dual_cell_points(spec):
+    # the dual cell {0..N-1}^d without its first point, the origin
+    for h in map(tuple, ions[1:].tolist()):
         matrix, tail = wiener_matrix(model, h, truncation_radius)
         eigenvalues, vectors = np.linalg.eigh(matrix)
         ktol = kernel_rtol * float(np.trace(matrix)) + tail

@@ -35,6 +35,9 @@ midpoint stage on the coupling only.
 Every evaluation goes through a flow plan (``_FlowPlan``): the arrays fixed
 by the basis and sigma, with rho, the right-hand side and the energy
 computed on raw (c, q, p) arrays.  ``evolve`` builds one plan per call.
+The plan's ``ion_phases`` is the one place the phases exp(i xi (n + q(n)))
+are formed (the second variation takes them at q = r), and its Coulomb
+weight is the frequency table's ``coulomb_weight``.
 """
 
 from __future__ import annotations
@@ -118,10 +121,7 @@ class _FlowPlan:
         self.sites = lattice_points(spec).astype(float)
         self.sigma_hat = sigma.field.values
         self.conj_sigma_hat = np.conj(sigma.field.values)
-        # the Coulomb weight 1 / |xi|^2 on xi != 0; xi = 0 is dropped
-        self.zero = table.zero
-        self.nonzero = np.arange(table.size) != table.zero
-        self.xi_sq = np.where(self.nonzero, table.xi_sq, 1.0)
+        self.coulomb_weight = table.coulomb_weight
         self.kinetic = basis.kinetic
         self.volume = spec.volume
         self.e = sigma.e
@@ -135,12 +135,6 @@ class _FlowPlan:
         electrons = -self.e * self.substitutions.transition_values(c, c)
         return electrons + self.sigma_hat * phases.sum(axis=1)
 
-    def potential(self, rho: np.ndarray) -> np.ndarray:
-        """Phi = G rho with the xi = 0 coefficient dropped."""
-        phi = rho / self.xi_sq
-        phi[self.zero] = 0.0
-        return phi
-
     def forces(self, phi: np.ndarray, phases: np.ndarray) -> np.ndarray:
         weights = self.ixi * (phi * self.conj_sigma_hat)[:, None]
         return (np.conj(phases).T @ weights).real / self.volume
@@ -148,7 +142,7 @@ class _FlowPlan:
     def energy(self, c, q, p, mass) -> float:
         kinetic_e = float((self.kinetic * np.abs(c) ** 2).sum())
         rho = self.rho(c, self.ion_phases(q))
-        terms = np.abs(rho[self.nonzero]) ** 2 / self.xi_sq[self.nonzero]
+        terms = np.abs(rho) ** 2 * self.coulomb_weight
         coulomb = float(terms.sum() / (2.0 * self.volume))
         kinetic_i = float((p**2).sum() / (2.0 * mass))
         return kinetic_e + coulomb + kinetic_i
@@ -157,7 +151,7 @@ class _FlowPlan:
 def _rhs_raw(plan: _FlowPlan, c, q, p, mass):
     """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays."""
     phases = plan.ion_phases(q)
-    phi = plan.potential(plan.rho(c, phases))
+    phi = plan.rho(c, phases) * plan.coulomb_weight
     coupling = plan.substitutions.potential_values(c, phi)
     c_dot = -1j * (plan.kinetic * c - plan.e * coupling)
     return c_dot, p / mass, plan.forces(phi, phases)
@@ -190,7 +184,8 @@ def forces(state: CrystalState, sigma: IonDensityModel) -> np.ndarray:
     """
     plan = _FlowPlan(state.psi.basis, sigma)
     phases = plan.ion_phases(state.ions.q)
-    return plan.forces(plan.potential(plan.rho(state.psi.values, phases)), phases)
+    phi = plan.rho(state.psi.values, phases) * plan.coulomb_weight
+    return plan.forces(phi, phases)
 
 
 @dataclass(eq=False)

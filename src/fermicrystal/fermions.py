@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .torus import FourierScalarField, TorusSpec, frequency_table
+from .torus import FourierScalarField, TorusSpec, frequency_table, integer_box
 
 Occupation = tuple  # tuple of integer h-tuples, lexicographically sorted
 
@@ -45,9 +45,7 @@ def occupation_kinetic(spec: TorusSpec, occupation: Occupation) -> float:
 
 
 def _orbital_values_in_box(spec: TorusSpec, h_max: int) -> tuple[list, np.ndarray]:
-    axis = np.arange(-h_max, h_max + 1)
-    mesh = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
-    h = np.stack([m.ravel() for m in mesh], axis=1)
+    h = integer_box(-h_max, h_max + 1, spec.dimension)
     values = (spec.xi(h) ** 2).sum(axis=1)
     orbitals = [tuple(int(c) for c in row) for row in h]
     return orbitals, values

@@ -31,13 +31,16 @@ what the long-time perturbation runs probe.
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .density import IonDensityModel, jellium_check
-from .dynamics import CrystalState, IonState, energy, evolve
+from .dynamics import CrystalState, IonState, _FlowPlan, energy, evolve
 from .errors import AdmissibilityError, DimensionMismatchError, ModelRefusalError
 from .fermions import (
     CIVector,
@@ -45,9 +48,8 @@ from .fermions import (
     check_adr,
     ground_occupations,
     h1_norm,
-    transition_density,
 )
-from .torus import FourierScalarField, frequency_table, lattice_points
+from .torus import FourierScalarField, frequency_table
 
 
 @dataclass(eq=False)
@@ -221,6 +223,12 @@ def charge_constraint_gradient(gs: GroundState) -> np.ndarray:
     ))
 
 
+def _removed_directions(gs: GroundState) -> np.ndarray:
+    """Rows of the directions the constrained subspace removes: T_S S and the
+    charge-constraint gradient."""
+    return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
+
+
 @dataclass(eq=False)
 class LinearizedDensity:
     """First-order charge density response along a perturbation."""
@@ -233,29 +241,49 @@ class LinearizedDensity:
         return self.ion + self.electron
 
 
+def _response_map(gs: GroundState) -> np.ndarray:
+    """The linear density response Y -> rho1 as an (n_freq, n) matrix on packed Y.
+
+    With A[xi, I] = <sum_j exp(i xi x_j) psi_alpha, D_I> the transition
+    amplitude is P(xi) = A conj(C), so the electron part -e [P(xi) +
+    conj(P(-xi))] takes Re C through -e (A + conj A(-xi)) and Im C through
+    -e (-i A + i conj A(-xi)).  The column of site n and axis j is
+    i sigma_hat(xi) xi_j exp(i xi (n + r)), the ion phases of the flow plan at
+    q = r; the momenta do not enter.
+    """
+    basis, spec = gs.basis, gs.spec
+    table = frequency_table(spec)
+    plan = _FlowPlan(basis, gs.sigma)
+    sub = plan.substitutions
+    psi = gs.psi_alpha().values
+    amplitudes = np.zeros((table.size, basis.size), dtype=complex)
+    np.add.at(amplitudes, (sub.delta, sub.dst), psi[sub.src] * sub.sign)
+    amplitudes[table.zero, :] += basis.n_electrons * psi
+    mirrored = np.conj(amplitudes[table.conj, :])
+    phases = plan.ion_phases(gs.r)  # q = r broadcast over the sites
+    ions = plan.ixi[:, None, :] * plan.sigma_hat[:, None, None] * phases[:, :, None]
+    return np.concatenate([
+        -gs.sigma.e * (amplitudes + mirrored),
+        -gs.sigma.e * (-1j * amplitudes + 1j * mirrored),
+        ions.reshape(table.size, -1),
+        np.zeros((table.size, spec.n_ions * spec.dimension)),
+    ], axis=1)
+
+
 def linearized_density(gs: GroundState, y: TangentVector) -> LinearizedDensity:
     """rho1 along Y: displaced-ion gradient term plus the transition term."""
-    spec = gs.spec
-    table = frequency_table(spec)
-    ions = lattice_points(spec)
-    kappa_hat = np.exp(1j * table.xi @ ions.T) @ y.kappa  # (n_freq, d)
-    shift = np.exp(1j * table.xi @ gs.r)
-    ion_values = 1j * gs.sigma.field.values * shift * (table.xi * kappa_hat).sum(axis=1)
-    p = transition_density(gs.psi_alpha(), y.phi)
-    electron_values = -gs.sigma.e * (p.values + np.conj(p.values[table.conj]))
+    response = _response_map(gs)
+    vector = pack_tangent(y)
+    b = 2 * gs.basis.size
     return LinearizedDensity(
-        FourierScalarField(spec, ion_values),
-        FourierScalarField(spec, electron_values),
+        FourierScalarField(gs.spec, response[:, b:] @ vector[b:]),
+        FourierScalarField(gs.spec, response[:, :b] @ vector[:b]),
     )
 
 
 def _coulomb_weights(spec) -> np.ndarray:
     """w = 1/(|xi|^2 |T|) per retained frequency, with the xi = 0 weight zeroed."""
-    table = frequency_table(spec)
-    weights = np.zeros(table.size)
-    mask = np.arange(table.size) != table.zero
-    weights[mask] = 1.0 / (table.xi_sq[mask] * spec.volume)
-    return weights
+    return frequency_table(spec).coulomb_weight / spec.volume
 
 
 def quadratic_form(gs: GroundState, y: TangentVector) -> float:
@@ -281,43 +309,18 @@ class HessianForm:
 
 
 def hessian_assemble(gs: GroundState) -> HessianForm:
-    """Assemble the quadratic form by evaluating the density response columnwise.
+    """Assemble the quadratic form from the density response map R.
 
-    The Coulomb block is rho1-map^H diag(w) rho1-map with w = 1/(|xi|^2 |T|)
+    The Coulomb block is Re(R^H W R) with W = diag(w), w = 1/(|xi|^2 |T|)
     and the xi = 0 weight zeroed, on top of the diagonal kinetic blocks
     2 E_kin (twice, real and imaginary parts) and 1/M on the momenta.
+    R is the same map ``linearized_density`` applies to one Y.
     """
     basis = gs.basis
-    spec = gs.spec
-    table = frequency_table(spec)
-    b = basis.size
-    block = spec.n_ions * spec.dimension
-    n = 2 * b + 2 * block
-    psi = gs.psi_alpha()
-    sub = basis.substitutions()
-
-    # P_all[:, I] = transition amplitudes <M_xi psi, D_I>
-    p_all = np.zeros((table.size, b), dtype=complex)
-    np.add.at(p_all, (sub.delta, sub.dst), psi.values[sub.src] * sub.sign)
-    p_all[table.zero, :] += basis.n_electrons * psi.values
-
-    response = np.zeros((table.size, n), dtype=complex)
-    p_conj = np.conj(p_all[table.conj, :])
-    response[:, :b] = -gs.sigma.e * (p_all + p_conj)
-    response[:, b : 2 * b] = -gs.sigma.e * (-1j * p_all + 1j * p_conj)
-
-    ions = lattice_points(spec)
-    shift = np.exp(1j * table.xi @ gs.r)
-    site_phase = np.exp(1j * table.xi @ ions.T)  # (n_freq, n_ions)
-    base = 1j * gs.sigma.field.values * shift
-    for site in range(spec.n_ions):
-        for axis in range(spec.dimension):
-            column = 2 * b + site * spec.dimension + axis
-            response[:, column] = base * table.xi[:, axis] * site_phase[:, site]
-
+    block = gs.spec.n_ions * gs.spec.dimension
     # Re(R^H W R) = S^T S with S the real and imaginary parts of sqrt(W) R
     # stacked; numpy hands A.T @ A to syrk, so the product is exactly symmetric
-    response *= np.sqrt(_coulomb_weights(spec))[:, None]
+    response = _response_map(gs) * np.sqrt(_coulomb_weights(gs.spec))[:, None]
     stacked = np.concatenate([response.real, response.imag])
     matrix = stacked.T @ stacked
 
@@ -325,7 +328,7 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
         2.0 * basis.kinetic, 2.0 * basis.kinetic,
         np.zeros(block), np.full(block, 1.0 / gs.mass),
     ])
-    matrix[np.diag_indices(n)] += diagonal
+    matrix[np.diag_indices(matrix.shape[0])] += diagonal
     return HessianForm(gs, matrix)
 
 
@@ -367,10 +370,7 @@ def hessian_spectrum(
     diagonal = np.diagonal(matrix)
     coupled = np.count_nonzero(matrix, axis=1) > (diagonal != 0)
     if subspace == "constrained":
-        spanned = np.vstack([
-            tangent_space_vectors(form.gs),
-            charge_constraint_gradient(form.gs)[None, :],
-        ])
+        spanned = _removed_directions(form.gs)
         coupled |= (spanned != 0).any(axis=0)
         index = np.flatnonzero(coupled)
         _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
@@ -490,19 +490,13 @@ def sample_tangent_perturbation(gs: GroundState, rng: np.random.Generator) -> Ta
     b = gs.basis.size
     block = gs.spec.n_ions * gs.spec.dimension
     vector = rng.standard_normal(2 * b + 2 * block)
-    removed = np.vstack([
-        tangent_space_vectors(gs),
-        charge_constraint_gradient(gs)[None, :],
-    ])
-    for row in removed:
-        norm_sq = float(row @ row)
-        if norm_sq > 0.0:
-            vector -= (vector @ row) / norm_sq * row
-    # repeat once; plain Gram-Schmidt against a non-orthogonal family
-    for row in removed:
-        norm_sq = float(row @ row)
-        if norm_sq > 0.0:
-            vector -= (vector @ row) / norm_sq * row
+    removed = _removed_directions(gs)
+    # two passes: plain Gram-Schmidt against a non-orthogonal family
+    for _ in range(2):
+        for row in removed:
+            norm_sq = float(row @ row)
+            if norm_sq > 0.0:
+                vector -= (vector @ row) / norm_sq * row
     y = unpack_tangent(gs.basis, vector)
     scale = y.v_norm()
     if scale <= 0.0:
@@ -588,6 +582,16 @@ class StabilityResult:
         return out
 
 
+def _direction_records(gs, deltas, duration, dt, method, fp_tol, index,
+                       direction) -> list:
+    """The runs of one perturbation direction, one per delta."""
+    return [
+        run_trajectory(gs, direction, delta, duration, dt, method, fp_tol,
+                       label=f"perturbation-{index}")
+        for delta in deltas
+    ]
+
+
 def stability_experiment(
     gs: GroundState,
     deltas: Sequence[float],
@@ -598,12 +602,17 @@ def stability_experiment(
     method: str = "implicit_midpoint",
     fp_tol: float = 1e-13,
     include_controls: bool = True,
+    workers: int = 1,
 ) -> StabilityResult:
     """Seeded batch of perturbation runs plus zero and translation controls.
 
     Perturbation directions are drawn once per index from spawned seed
     streams and reused across all deltas, so the map delta -> sup-distance
-    is meaningful direction by direction.
+    is meaningful direction by direction.  The controls run first, then
+    each direction's runs in index order.  With ``workers`` above 1 the
+    directions are mapped over a pool of at most one process per direction,
+    each handed the ground state and its direction; the records, and so
+    every output, are the same as with one worker.
     """
     streams = np.random.SeedSequence(seed).spawn(n_perturbations)
     directions = [
@@ -618,9 +627,17 @@ def stability_experiment(
             records.append(run_trajectory(
                 gs, translation_perturbation(gs, axis), max(deltas), duration,
                 dt, method, fp_tol, label=f"translation-{axis}"))
-    for index, direction in enumerate(directions):
-        for delta in deltas:
-            records.append(run_trajectory(
-                gs, direction, delta, duration, dt, method, fp_tol,
-                label=f"perturbation-{index}"))
+    runs = partial(_direction_records, gs, deltas, duration, dt, method, fp_tol)
+    indices = range(n_perturbations)
+    pool_size = min(workers, n_perturbations)
+    if pool_size > 1:
+        # spawned, not forked: a forked child inherits the parent's threads'
+        # locks, and each worker is handed everything it needs anyway
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=spawn) as pool:
+            batches = list(pool.map(runs, indices, directions))
+    else:
+        batches = map(runs, indices, directions)
+    for batch in batches:
+        records.extend(batch)
     return StabilityResult(records)

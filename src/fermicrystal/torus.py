@@ -102,6 +102,8 @@ class FrequencyTable:
     h : (n_freq, d) int array of frequency indices, lexicographically sorted.
     xi : (n_freq, d) float array, xi = (2 pi / N) h.
     xi_sq : (n_freq,) float array of |xi|^2.
+    coulomb_weight : (n_freq,) float array of 1/|xi|^2 with the xi = 0 entry
+        zeroed: the Green function -Laplace^{-1} on mean-free fields.
     conj : (n_freq,) int array, position of -h for each h.
     zero : int, position of h = 0.
     gamma_star : (n_freq,) bool mask of frequencies on 2 pi Z^d.
@@ -111,9 +113,7 @@ class FrequencyTable:
         d, n, n_g = spec.dimension, spec.cells_per_axis, spec.grid_per_axis
         h_cut = int(np.floor(spec.cutoff_radius * n / TWO_PI + 1e-9))
         h_max = min(h_cut, (n_g - 1) // 2)
-        axis = np.arange(-h_max, h_max + 1)
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        h = np.stack([m.ravel() for m in mesh], axis=1)
+        h = integer_box(-h_max, h_max + 1, d)
         xi = spec.xi(h)
         keep = np.sqrt((xi**2).sum(axis=1)) <= spec.cutoff_radius + 1e-12
         h = h[keep]
@@ -124,6 +124,9 @@ class FrequencyTable:
         self.xi = spec.xi(h)
         self.xi_sq = (self.xi**2).sum(axis=1)
         self.size = h.shape[0]
+        nonzero = np.any(h != 0, axis=1)
+        self.coulomb_weight = np.zeros(self.size)
+        self.coulomb_weight[nonzero] = 1.0 / self.xi_sq[nonzero]
         self.index = {tuple(row): i for i, row in enumerate(h.tolist())}
         self.conj = np.array([self.index[tuple((-row).tolist())] for row in h])
         self.zero = self.index[(0,) * d]
@@ -255,10 +258,7 @@ def green_apply(
     residual = abs(rho.values[table.zero])
     if enforce_neutrality and residual > neutrality_tol:
         raise NeutralityError(residual, neutrality_tol)
-    out = np.zeros_like(rho.values)
-    mask = np.arange(table.size) != table.zero
-    out[mask] = rho.values[mask] / table.xi_sq[mask]
-    return FourierScalarField(rho.spec, out)
+    return FourierScalarField(rho.spec, rho.values * table.coulomb_weight)
 
 
 def coulomb_energy(
@@ -272,8 +272,7 @@ def coulomb_energy(
     residual = abs(rho.values[table.zero])
     if enforce_neutrality and residual > neutrality_tol:
         raise NeutralityError(residual, neutrality_tol)
-    mask = np.arange(table.size) != table.zero
-    terms = np.abs(rho.values[mask]) ** 2 / table.xi_sq[mask]
+    terms = np.abs(rho.values) ** 2 * table.coulomb_weight
     return float(terms.sum() / (2.0 * rho.spec.volume))
 
 
@@ -283,6 +282,14 @@ def lattice_points(spec: TorusSpec) -> np.ndarray:
     Every module indexes ions in this order; keeping a single source of
     truth is what makes ion-block vectors comparable across modules.
     """
-    n, d = spec.cells_per_axis, spec.dimension
-    mesh = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
+    return integer_box(0, spec.cells_per_axis, spec.dimension)
+
+
+def integer_box(low: int, high: int, d: int) -> np.ndarray:
+    """All integer vectors in {low, ..., high - 1}^d as a (m^d, d) array, lex order.
+
+    The first component varies slowest, so the rows are sorted and a box
+    starting at 0 lists the origin first.
+    """
+    mesh = np.meshgrid(*([np.arange(low, high)] * d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

@@ -127,6 +127,12 @@ def test_missing_file_rejected():
     ("stability", "duration", float("nan")),
     ("stability", "fp_tol", float("inf")),
     ("stability", "deltas", (1e-3, float("nan"))),
+    # the stage-solve controls of both sections: a nonpositive tolerance or
+    # no iteration at all can only end as "did not converge"
+    ("stability", "fp_tol", -1e-13),
+    ("stability", "fp_tol", 0.0),
+    ("dynamics", "max_iterations", 0),
+    ("dynamics", "max_iterations", -3),
 ])
 def test_validate_config_failures(patch):
     section, key, value = patch
@@ -265,6 +271,39 @@ def test_stability_deterministic_bytes(tmp_path):
     _, out2 = run_cli(tmp_path / "b", "--config", ini, "--seed", "7", "stability")
     for name in ("stability_report.json", "trajectories.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_stability_workers_bytes(tmp_path):
+    # directions run in worker processes give the same bytes as in-process
+    ini = write_ini(tmp_path)
+    _, out1 = run_cli(tmp_path / "a", "--config", ini, "--seed", "3",
+                      "--workers", "1", "stability")
+    _, out2 = run_cli(tmp_path / "b", "--config", ini, "--seed", "3",
+                      "--workers", "2", "stability")
+    for name in ("stability_report.json", "trajectories.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_exit_code_workers(tmp_path, capsys, workers):
+    code, _ = run_cli(tmp_path, "--config", write_ini(tmp_path),
+                      "--workers", workers, "stability")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--workers" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, raw, command", [
+    ("STABILITY_FP_TOL", "-1e-13", "stability"),
+    ("DYNAMICS_MAX_ITERATIONS", "0", "evolve"),
+])
+def test_exit_code_stage_controls(tmp_path, monkeypatch, capsys, key, raw,
+                                  command):
+    # refused as configuration (exit 1), not run until "did not converge"
+    monkeypatch.setenv(f"FERMICRYSTAL_{key}", raw)
+    code, _ = run_cli(tmp_path, "--config", write_ini(tmp_path), command)
+    assert code == 1
+    assert key.split("_", 1)[1].lower() in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -34,6 +34,7 @@ from fermicrystal import (
     translation_perturbation,
     unpack_tangent,
 )
+from fermicrystal import stability
 from fermicrystal.stability import HessianForm, TangentVector, _displaced_state
 
 
@@ -135,16 +136,19 @@ def test_charge_gradient_is_radial(gs1d):
 # --- linearized density and quadratic form ---
 
 
-def test_linearized_density_matches_fd(gs1d):
-    y = random_tangent(gs1d, seed=2)
-    lin = linearized_density(gs1d, y).total
-    h = 1e-6
+def test_linearized_density_matches_fd(gs1d, basis2d, sigma2d_perturbed):
     from fermicrystal import assemble_rho
 
-    plus = assemble_rho(_displaced_state(gs1d, y, h), gs1d.sigma)
-    minus = assemble_rho(_displaced_state(gs1d, y, -h), gs1d.sigma)
-    fd = (plus.values - minus.values) / (2.0 * h)
-    np.testing.assert_allclose(lin.values, fd, atol=1e-8)
+    # d = 2 off the origin pins the site/axis order of the ion columns
+    gs2d = build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7)
+    h = 1e-6
+    for gs in (gs1d, gs2d):
+        y = random_tangent(gs, seed=2)
+        lin = linearized_density(gs, y).total
+        plus = assemble_rho(_displaced_state(gs, y, h), gs.sigma)
+        minus = assemble_rho(_displaced_state(gs, y, -h), gs.sigma)
+        fd = (plus.values - minus.values) / (2.0 * h)
+        np.testing.assert_allclose(lin.values, fd, atol=1e-8)
 
 
 def test_quadratic_form_matches_matrix(gs1d):
@@ -458,6 +462,38 @@ def test_stability_experiment_structure(gs1d):
     )
     for a, b in zip(result.records, again.records):
         np.testing.assert_array_equal(a.distance, b.distance)
+
+
+def test_stability_experiment_pool_clamped(gs1d, monkeypatch):
+    # a pool of one process per direction at most; a stand-in executor
+    # records the size asked for and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", SerialPool)
+    kwargs = dict(deltas=[1e-3, 1e-2], n_perturbations=2, duration=0.01,
+                  dt=1e-3, seed=3)
+    pooled = stability_experiment(gs1d, workers=64, **kwargs)
+    serial = stability_experiment(gs1d, **kwargs)
+    assert sizes == [2]
+    assert [r.label for r in pooled.records] == [r.label for r in serial.records]
+    for a, b in zip(pooled.records, serial.records):
+        assert a.delta == b.delta
+        np.testing.assert_array_equal(a.distance, b.distance)
+        np.testing.assert_array_equal(a.energy, b.energy)
+
 
 
 @settings(max_examples=10, deadline=None)
