@@ -232,7 +232,8 @@ def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
     result = stability_experiment(
         gs, s.deltas, n_perturbations=s.n_perturbations,
         duration=s.duration, dt=s.dt, seed=seed, method=s.method,
-        fp_tol=s.fp_tol, include_controls=s.include_controls, workers=workers)
+        fp_tol=s.fp_tol, include_controls=s.include_controls, workers=workers,
+        max_iterations=cfg.dynamics.max_iterations)
     rows = []
     summary_rows = []
     for record in result.records:

@@ -37,13 +37,25 @@ by the basis and sigma, with rho, the right-hand side and the energy
 computed on raw (c, q, p) arrays.  ``evolve`` builds one plan per call.
 The plan's ``ion_phases`` is the one place the phases exp(i xi (n + q(n)))
 are formed (the second variation takes them at q = r), and its Coulomb
-weight is the frequency table's ``coulomb_weight``.
+weight is the frequency table's ``coulomb_weight``.  Each step reuses the
+density that the energy of the previous record computed at the same state
+for its first stage evaluation.
+
+``evolve`` also steps a batch: a sequence of R states on one basis and one
+mass, in lock-step.  The raw arrays then carry a leading row axis (c is
+(R, B), q and p are (R, n_ions, d)), every plan formula works row by row
+with the bits of a single row, and the stage solve stops and freezes each
+row by its own rule.  One call thus advances a whole stability sweep with
+one set of numpy calls per step instead of one per trajectory, which is
+what sets the cost at the small bases of a sweep.  The observer still
+sees one ``CrystalState`` per row, and the log keeps one energy and charge
+per row, but one residual and iteration count per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,7 +121,12 @@ class CrystalState:
 
 
 class _FlowPlan:
-    """Fixed arrays of the flow for one (basis, sigma), and the flow on raw arrays."""
+    """Fixed arrays of the flow for one (basis, sigma), and the flow on raw arrays.
+
+    Every formula takes an optional leading row axis: c of shape (B,) or
+    (R, B), q and p of shape (n_ions, d) or (R, n_ions, d).  Rows never mix,
+    and each row gets the bits of its own single-row evaluation.
+    """
 
     def __init__(self, basis, sigma: IonDensityModel):
         spec = basis.spec
@@ -127,31 +144,40 @@ class _FlowPlan:
         self.e = sigma.e
 
     def ion_phases(self, q: np.ndarray) -> np.ndarray:
-        """exp(i xi (n + q(n))) as an (n_freq, n_ions) array."""
-        return np.exp(self.ixi @ (self.sites + q).T)
+        """exp(i xi (n + q(n))) as an ([R,] n_freq, n_ions) array."""
+        return np.exp(self.ixi @ (self.sites + q).swapaxes(-1, -2))
 
     def rho(self, c: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Total charge density: electron cloud plus the displaced ion sum."""
         electrons = -self.e * self.substitutions.transition_values(c, c)
-        return electrons + self.sigma_hat * phases.sum(axis=1)
+        return electrons + self.sigma_hat * phases.sum(axis=-1)
+
+    def density(self, c: np.ndarray, q: np.ndarray) -> tuple:
+        """The ion phases at q and the total charge density of (c, q)."""
+        phases = self.ion_phases(q)
+        return phases, self.rho(c, phases)
 
     def forces(self, phi: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        weights = self.ixi * (phi * self.conj_sigma_hat)[:, None]
-        return (np.conj(phases).T @ weights).real / self.volume
+        weights = self.ixi * (phi * self.conj_sigma_hat)[..., None]
+        return (phases.conj().swapaxes(-1, -2) @ weights).real / self.volume
 
-    def energy(self, c, q, p, mass) -> float:
-        kinetic_e = float((self.kinetic * np.abs(c) ** 2).sum())
-        rho = self.rho(c, self.ion_phases(q))
+    def energy(self, c, rho, p, mass) -> np.ndarray:
+        """E of the rows (c, p) whose total charge density is rho."""
+        kinetic_e = (self.kinetic * np.abs(c) ** 2).sum(axis=-1)
         terms = np.abs(rho) ** 2 * self.coulomb_weight
-        coulomb = float(terms.sum() / (2.0 * self.volume))
-        kinetic_i = float((p**2).sum() / (2.0 * mass))
+        coulomb = terms.sum(axis=-1) / (2.0 * self.volume)
+        momenta = (p**2).reshape(p.shape[:-2] + (-1,))
+        kinetic_i = momenta.sum(axis=-1) / (2.0 * mass)
         return kinetic_e + coulomb + kinetic_i
 
 
-def _rhs_raw(plan: _FlowPlan, c, q, p, mass):
-    """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays."""
-    phases = plan.ion_phases(q)
-    phi = plan.rho(c, phases) * plan.coulomb_weight
+def _rhs_raw(plan: _FlowPlan, c, q, p, mass, density=None):
+    """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays.
+
+    ``density`` is ``plan.density(c, q)`` when the caller already has it.
+    """
+    phases, rho = plan.density(c, q) if density is None else density
+    phi = rho * plan.coulomb_weight
     coupling = plan.substitutions.potential_values(c, phi)
     c_dot = -1j * (plan.kinetic * c - plan.e * coupling)
     return c_dot, p / mass, plan.forces(phi, phases)
@@ -160,7 +186,7 @@ def _rhs_raw(plan: _FlowPlan, c, q, p, mass):
 def assemble_rho(state: CrystalState, sigma: IonDensityModel) -> FourierScalarField:
     """Total charge density: displaced ion sum plus the electron cloud."""
     plan = _FlowPlan(state.psi.basis, sigma)
-    rho = plan.rho(state.psi.values, plan.ion_phases(state.ions.q))
+    _, rho = plan.density(state.psi.values, state.ions.q)
     return FourierScalarField(state.spec, rho)
 
 
@@ -173,7 +199,8 @@ def energy(state: CrystalState, sigma: IonDensityModel) -> float:
     on.
     """
     plan = _FlowPlan(state.psi.basis, sigma)
-    return plan.energy(state.psi.values, state.ions.q, state.ions.p, state.ions.mass)
+    _, rho = plan.density(state.psi.values, state.ions.q)
+    return float(plan.energy(state.psi.values, rho, state.ions.p, state.ions.mass))
 
 
 def forces(state: CrystalState, sigma: IonDensityModel) -> np.ndarray:
@@ -183,9 +210,8 @@ def forces(state: CrystalState, sigma: IonDensityModel) -> np.ndarray:
     finite-difference cross-checks verify.
     """
     plan = _FlowPlan(state.psi.basis, sigma)
-    phases = plan.ion_phases(state.ions.q)
-    phi = plan.rho(state.psi.values, phases) * plan.coulomb_weight
-    return plan.forces(phi, phases)
+    phases, rho = plan.density(state.psi.values, state.ions.q)
+    return plan.forces(rho * plan.coulomb_weight, phases)
 
 
 @dataclass(eq=False)
@@ -205,7 +231,13 @@ def rhs(state: CrystalState, sigma: IonDensityModel) -> StateDerivative:
 
 @dataclass(eq=False)
 class EvolutionLog:
-    """Per-step record of conserved quantities and solver diagnostics."""
+    """Per-step record of conserved quantities and solver diagnostics.
+
+    ``energy`` and ``charge`` have one entry per step for a single state and
+    one row of R entries per step for a batch of R.  ``residual`` and
+    ``iterations`` stay one entry per step: the largest row residual and
+    the batch's sweep count, which is the largest row count.
+    """
 
     t: np.ndarray
     energy: np.ndarray
@@ -229,7 +261,7 @@ class EvolutionLog:
 
 
 def evolve(
-    state: CrystalState,
+    state: Union[CrystalState, Sequence[CrystalState]],
     sigma: IonDensityModel,
     dt: float,
     duration: float,
@@ -237,15 +269,26 @@ def evolve(
     fp_tol: float = 1e-13,
     max_iterations: int = 50,
     observer: Optional[Callable] = None,
-) -> tuple[CrystalState, EvolutionLog]:
+) -> tuple:
     """Integrate the flow for ``duration`` in steps of ``dt``.
 
+    ``state`` is one :class:`CrystalState` or a sequence of R states that
+    share one basis and one ion mass.  A sequence is a batch stepped in
+    lock-step: each step advances every row with one set of array calls,
+    and each row's trajectory has the bits of its own single-state run.  A
+    single state is a batch of one, run by the same code with the row axis
+    dropped.  Returns the final state (a list of R
+    for a sequence) and an :class:`EvolutionLog`.
+
     ``duration`` is rounded to a whole number of steps; negative ``dt``
-    integrates backwards.  ``observer(t, state)`` runs after every step.
+    integrates backwards.  ``observer(t, state)`` runs at t = 0 and after
+    every step, once per row in row order, with a copy of that row's state.
     The midpoint stages solve their implicit equation by fixed-point
     iteration to ``fp_tol`` (or the round-off floor), the midpoint method
-    with the kinetic term inverted exactly; failure to converge raises
-    :class:`IntegratorError` with step diagnostics.
+    with the kinetic term inverted exactly.  Each row stops on its own
+    rule and is then frozen for the rest of the step; a row that does not
+    converge raises :class:`IntegratorError` naming the row, its step and
+    its time.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -254,60 +297,84 @@ def evolve(
     n_steps = int(round(duration / dt))
     if n_steps < 0:
         raise ValueError("duration and dt must have the same sign")
+    batch = not isinstance(state, CrystalState)
+    states = list(state) if batch else [state]
+    if not states:
+        raise ValueError("evolve needs at least one state")
+    basis = states[0].psi.basis
+    mass = states[0].ions.mass
+    if any(s.psi.basis is not basis for s in states):
+        raise DimensionMismatchError("batched states must share one basis")
+    if any(s.ions.mass != mass for s in states):
+        raise ValueError("batched states must share one ion mass")
 
-    basis = state.psi.basis
-    mass = state.ions.mass
     plan = _FlowPlan(basis, sigma)
-    c = state.psi.values.copy()
-    q = state.ions.q.astype(float).copy()
-    p = state.ions.p.astype(float).copy()
+    rows = len(states)
+    n_cells = basis.spec.cells_per_axis
+    c = np.stack([s.psi.values for s in states])
+    q = np.stack([s.ions.q for s in states]).astype(float, copy=False)
+    p = np.stack([s.ions.p for s in states]).astype(float, copy=False)
+    stacked = q.shape  # (R, n_ions, d)
+    if rows == 1:
+        # a batch of one drops its row axis: the same code on unstacked
+        # arrays skips numpy's broadcasting set-up in every call
+        c, q, p = c[0], q[0], p[0]
 
     t_log, e_log, q_log, r_log, i_log = [], [], [], [], []
+    density = None  # of the last recorded state, where the next step starts
 
     def record(time, residual, iterations):
+        nonlocal density
+        density = plan.density(c, q)
         t_log.append(time)
-        e_log.append(plan.energy(c, q, p, mass))
-        q_log.append(float((np.abs(c) ** 2).sum()))
+        e_log.append(plan.energy(c, density[1], p, mass))
+        q_log.append((np.abs(c) ** 2).sum(axis=-1))
         r_log.append(residual)
         i_log.append(iterations)
         if observer is not None:
-            observer(time, CrystalState(CIVector(basis, c.copy()),
-                                        IonState(q.copy(), p.copy(), mass)))
+            cs = c.reshape(rows, -1).copy()
+            qs, ps = q.reshape(stacked).copy(), p.reshape(stacked).copy()
+            for row in range(rows):
+                observer(time, CrystalState(CIVector(basis, cs[row]),
+                                            IonState(qs[row], ps[row], mass)))
 
     record(0.0, 0.0, 0)
 
-    def rhs_of(c_, q_, p_):
-        return _rhs_raw(plan, c_, q_, p_, mass)
+    def rhs_of(c_, q_, p_, density_=None):
+        return _rhs_raw(plan, c_, q_, p_, mass, density_)
 
     free = 1j * basis.kinetic
+    half_phase = np.exp(-0.5j * dt * basis.kinetic)
+    resolvent = 1.0 / (1.0 + 0.5j * dt * basis.kinetic)
 
-    def coupling_of(c_, q_, p_):
+    def kinetic_exact(c0, cm, qm, pm, density_=None):
+        # R (c_dot + iK (c_mid - c0)) = R (G - iK c0): K inverted exactly
+        c_dot, q_dot, p_dot = rhs_of(cm, qm, pm, density_)
+        return resolvent * (c_dot + free * (cm - c0)), q_dot, p_dot
+
+    def coupling(c0, cm, qm, pm):
         # the non-free part of the flow: (i e Phi tensor psi, p / M, f)
-        c_dot, q_dot, p_dot = rhs_of(c_, q_, p_)
-        return c_dot + free * c_, q_dot, p_dot
+        c_dot, q_dot, p_dot = rhs_of(cm, qm, pm)
+        return c_dot + free * cm, q_dot, p_dot
 
     def step_midpoint(c_, q_, p_, step, time):
-        def field(cm, qm, pm):
-            # R (c_dot + iK (c_mid - c0)) = R (G - iK c0): K inverted exactly
-            c_dot, q_dot, p_dot = rhs_of(cm, qm, pm)
-            return resolvent * (c_dot + free * (cm - c_)), q_dot, p_dot
-
+        # the predictor reuses the density that record() computed at X0
+        first = kinetic_exact(c_, c_, q_, p_, density)
         cm, qm, pm, residual, iterations = _fixed_point_midpoint(
-            c_, q_, p_, dt, field, fp_tol, max_iterations, step, time
+            c_, q_, p_, dt, kinetic_exact, first, fp_tol, max_iterations,
+            step, time,
         )
         return 2.0 * cm - c_, 2.0 * qm - q_, 2.0 * pm - p_, residual, iterations
 
     def step_rk4(c_, q_, p_, step, time):
-        return _step_rk4(c_, q_, p_, dt, rhs_of)
-
-    half_phase = np.exp(-0.5j * dt * basis.kinetic)
-    resolvent = 1.0 / (1.0 + 0.5j * dt * basis.kinetic)
+        return _step_rk4(c_, q_, p_, dt, rhs_of, rhs_of(c_, q_, p_, density))
 
     def step_splitting(c_, q_, p_, step, time):
         # exact free flight on the kinetic phases, midpoint on the coupling
+        c_half = half_phase * c_
         cm, qm, pm, residual, iterations = _fixed_point_midpoint(
-            half_phase * c_, q_, p_, dt, coupling_of, fp_tol, max_iterations,
-            step, time,
+            c_half, q_, p_, dt, coupling, coupling(c_half, c_half, q_, p_),
+            fp_tol, max_iterations, step, time,
         )
         return (half_phase * (2.0 * cm - half_phase * c_),
                 2.0 * qm - q_, 2.0 * pm - p_, residual, iterations)
@@ -321,47 +388,70 @@ def evolve(
     time = 0.0
     for step in range(1, n_steps + 1):
         c, q, p, residual, iterations = stepper(c, q, p, step, time)
-        q = np.mod(q, state.spec.cells_per_axis)
+        q = np.mod(q, n_cells)
         time = step * dt
         record(time, residual, iterations)
 
-    final = CrystalState(CIVector(basis, c), IonState(q, p, mass))
-    log = EvolutionLog(
-        np.array(t_log), np.array(e_log), np.array(q_log),
-        np.array(r_log), np.array(i_log),
-    )
-    return final, log
+    c, q, p = c.reshape(rows, -1), q.reshape(stacked), p.reshape(stacked)
+    finals = [CrystalState(CIVector(basis, c[row]), IonState(q[row], p[row], mass))
+              for row in range(rows)]
+    energies = np.array(e_log).reshape(-1, rows)
+    charges = np.array(q_log).reshape(-1, rows)
+    if not batch:
+        finals, energies, charges = finals[0], energies[:, 0], charges[:, 0]
+    log = EvolutionLog(np.array(t_log), energies, charges,
+                       np.array(r_log), np.array(i_log))
+    return finals, log
 
 
-def _fixed_point_midpoint(c, q, p, dt, vector_field, fp_tol, max_iterations,
-                          step, time):
-    """Solve X_mid = X_0 + (dt/2) F(X_mid) by damped-free fixed point."""
-    cd, qd, pd = vector_field(c, q, p)
-    cm, qm, pm = c + 0.5 * dt * cd, q + 0.5 * dt * qd, p + 0.5 * dt * pd
-    previous = np.inf
+def _fixed_point_midpoint(c, q, p, dt, vector_field, first, fp_tol,
+                          max_iterations, step, time):
+    """Solve X_mid = X_0 + (dt/2) F(X_mid) row by row, by damped-free fixed point.
+
+    ``vector_field(c0, c, q, p)`` is F at the rows (c, q, p) whose stage
+    starts from c0, and ``first`` is F at X_0, the predictor's field.
+    Each row stops on its own rule, at ``fp_tol`` or at the round-off
+    floor, and is then frozen: only the rows still running are evaluated,
+    so every row's iterate is that of its own single-row solve.  The
+    arrays may carry a leading row axis or none.  Returns the stage, the
+    largest row residual and the number of sweeps (the largest row count).
+    """
+    h = 0.5 * dt
+    cd, qd, pd = first
+    cm, qm, pm = c + h * cd, q + h * qd, p + h * pd
+    last = np.full(c.shape[:-1], np.inf)  # each row's latest residual
+    every = active = Ellipsis  # every row, until the first one stops
     for iteration in range(1, max_iterations + 1):
-        cd, qd, pd = vector_field(cm, qm, pm)
-        cn, qn, pn = c + 0.5 * dt * cd, q + 0.5 * dt * qd, p + 0.5 * dt * pd
-        residual = max(
-            float(np.abs(cn - cm).max(initial=0.0)),
-            float(np.abs(qn - qm).max(initial=0.0)),
-            float(np.abs(pn - pm).max(initial=0.0)),
-        )
-        cm, qm, pm = cn, qn, pn
-        if residual <= fp_tol:
-            return cm, qm, pm, residual, iteration
-        if residual >= 0.9 * previous and residual <= 1e4 * fp_tol:
-            # round-off floor: no further contraction is possible
-            return cm, qm, pm, residual, iteration
-        previous = residual
+        c0, q0, p0 = c[active], q[active], p[active]
+        ca, qa, pa = cm[active], qm[active], pm[active]
+        cd, qd, pd = vector_field(c0, ca, qa, pa)
+        cn, qn, pn = c0 + h * cd, q0 + h * qd, p0 + h * pd
+        change = np.maximum(
+            np.maximum(np.abs(cn - ca).max(axis=-1, initial=0.0),
+                       np.abs(qn - qa).max(axis=(-2, -1), initial=0.0)),
+            np.abs(pn - pa).max(axis=(-2, -1), initial=0.0))
+        # the round-off floor: no further contraction is possible
+        stop = (change <= fp_tol) | ((change >= 0.9 * last[active])
+                                     & (change <= 1e4 * fp_tol))
+        last[active] = change
+        if active is every:
+            cm, qm, pm = cn, qn, pn
+        else:
+            cm[active], qm[active], pm[active] = cn, qn, pn
+        # count_nonzero: numpy's all() and any() cost more on few rows
+        stopped = np.count_nonzero(stop)
+        if stopped == stop.size:
+            return cm, qm, pm, float(last.max()), iteration
+        if stopped:
+            active = np.arange(last.size)[active][~stop]
+    row = 0 if active is every else int(active[0])
     raise IntegratorError(
         "implicit midpoint iteration did not converge",
-        step=step, time=time, residual=previous,
+        row=row, step=step, time=time, residual=last.reshape(-1)[row],
     )
 
 
-def _step_rk4(c, q, p, dt, rhs_of):
-    k1 = rhs_of(c, q, p)
+def _step_rk4(c, q, p, dt, rhs_of, k1):
     k2 = rhs_of(c + 0.5 * dt * k1[0], q + 0.5 * dt * k1[1], p + 0.5 * dt * k1[2])
     k3 = rhs_of(c + 0.5 * dt * k2[0], q + 0.5 * dt * k2[1], p + 0.5 * dt * k2[2])
     k4 = rhs_of(c + dt * k3[0], q + dt * k3[1], p + dt * k3[2])

@@ -51,14 +51,20 @@ class ModelRefusalError(FermicrystalError):
 
 
 class IntegratorError(FermicrystalError):
-    """Time stepping failed; diagnostics (step, time, residual) on the instance."""
+    """Time stepping failed; diagnostics (row, step, time, residual) on the instance.
 
-    def __init__(self, message: str, *, step: int, time: float, residual: float):
+    ``row`` is the failing row of a batched ``evolve`` (0 for a single state).
+    """
+
+    def __init__(self, message: str, *, row: int = 0, step: int, time: float,
+                 residual: float):
+        self.row = int(row)
         self.step = int(step)
         self.time = float(time)
         self.residual = float(residual)
         super().__init__(
-            f"{message} (step {step}, t = {time:.6g}, residual = {residual:.3e})"
+            f"{message} (row {row}, step {step}, t = {time:.6g}, "
+            f"residual = {residual:.3e})"
         )
 
 

@@ -194,20 +194,46 @@ class SubstitutionTable:
         self.n_electrons = basis.n_electrons
         self.volume = basis.spec.volume
 
+    def _scatter(self, index: np.ndarray, size: int, terms: np.ndarray) -> np.ndarray:
+        """Sum ``terms[..., t]`` into bin ``index[t]`` of a zero (..., size) array.
+
+        Rows are flattened into one ``np.add.at`` with offset bins, which
+        keeps each bin's additions in entry order, so every row gets the
+        bits of its own single-row scatter.
+        """
+        out = np.zeros(terms.shape[:-1] + (size,), dtype=complex)
+        flat = out
+        if out.ndim > 1:
+            flat, terms = out.reshape(-1), terms.reshape(-1)
+            index = (index + size * np.arange(len(out))[:, None]).ravel()
+        np.add.at(flat, index, terms)
+        return out
+
     def transition_values(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Coefficients of ``transition_density`` for raw CI arrays c, d."""
-        out = np.zeros(self.n_freq, dtype=complex)
-        np.add.at(out, self.delta, c[self.src] * np.conj(d[self.dst]) * self.sign)
-        out[self.zero] += self.n_electrons * np.vdot(d, c)
+        """Coefficients of ``transition_density`` for raw CI arrays c, d.
+
+        c and d are (B,) arrays or (R, B) stacks of rows; each row maps to
+        its own row of coefficients.
+        """
+        # ``take`` gathers over the last axis without fancy indexing's
+        # per-row cost, which shows at B = 2002
+        terms = (c.take(self.src, axis=-1) * np.conj(d.take(self.dst, axis=-1))
+                 * self.sign)
+        out = self._scatter(self.delta, self.n_freq, terms)
+        # np.vecdot is np.vdot row by row, with the same bits; .T puts the
+        # row axis last, so one expression serves one row and a stack
+        out.T[self.zero] += self.n_electrons * np.vecdot(d, c)
         return out
 
     def potential_values(self, c: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Values of ``apply_one_body_potential`` for raw c and Phi_hat arrays."""
+        """Values of ``apply_one_body_potential`` for raw c and Phi_hat arrays,
+        single or stacked in rows like ``transition_values``."""
         volume = self.volume
-        out = np.zeros(c.size, dtype=complex)
-        np.add.at(out, self.dst, c[self.src] * self.sign * phi[self.neg_delta] / volume)
-        out += self.n_electrons * phi[self.zero] / volume * c
-        return out
+        terms = (c.take(self.src, axis=-1) * self.sign
+                 * phi.take(self.neg_delta, axis=-1) / volume)
+        out = self._scatter(self.dst, c.shape[-1], terms).T
+        out += self.n_electrons * phi.T[self.zero] / volume * c.T
+        return out.T
 
 
 class DeterminantBasis:

@@ -30,7 +30,6 @@ what the long-time perturbation runs probe.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -444,44 +443,54 @@ def distance_to_manifold(state: CrystalState, gs: GroundState,
     shift minimizes the wrapped quadratic per axis (the objective is
     separable), scanned on a 16-point grid and polished by fixed-point
     recentering steps r <- r + mean(wrap(q - r)), which is Newton's method
-    on the smooth branches.  ``context`` is ``_distance_context(gs)``, built once.
+    on the smooth branches.  ``context`` is ``_distance_context(gs)``, built
+    once.  The state is measured as a batch of one.
     """
     if state.psi.basis is not gs.basis:
         raise DimensionMismatchError("state and ground state use different bases")
     context = _distance_context(gs) if context is None else context
-    return _distance(state.psi.values, state.ions.q, state.ions.p, *context)
+    distance, alpha, r, psi_part, ion_part, momentum_part = _distance(
+        state.psi.values[None], state.ions.q[None], state.ions.p[None], *context)
+    return DistanceResult(float(distance[0]), float(alpha[0]), r[0],
+                          float(psi_part[0]), float(ion_part[0]),
+                          float(momentum_part[0]))
 
 
-def _distance(c, q, p, weight, psi0, candidates, n) -> DistanceResult:
-    z = complex((weight * c * np.conj(psi0)).sum())
-    alpha = float(np.angle(z)) if z != 0 else 0.0
-    diff = c - np.exp(1j * alpha) * psi0
-    psi_part = float(np.sqrt((weight * np.abs(diff) ** 2).sum()))
+def _distance(c, q, p, weight, psi0, candidates, n) -> tuple:
+    """The parts of ``DistanceResult`` for R rows at once, each an array over
+    the rows: c is (R, B), q and p are (R, n_ions, d).
+
+    The shift scan runs over all rows and candidates together; the polish
+    updates each row until its own step falls below the stopping size.
+    """
+    rows, n_ions, dimension = q.shape
+    z = (weight * c * np.conj(psi0)).sum(axis=-1)
+    alpha = np.where(z != 0, np.angle(z), 0.0)
+    diff = c - np.exp(1j * alpha)[:, None] * psi0
+    psi_part = np.sqrt((weight * np.abs(diff) ** 2).sum(axis=-1))
 
     half = n / 2.0
-    r_best = np.zeros(q.shape[1])
-    for axis in range(q.shape[1]):
-        column = q[:, axis]
-        wrapped = (column[None, :] - candidates[:, None] + half) % n - half
-        best = int(np.argmin((wrapped**2).sum(axis=1)))
-        r_axis = float(candidates[best])
+    r_best = np.zeros((rows, dimension))
+    for axis in range(dimension):
+        column = q[:, :, axis]
+        wrapped = (column[:, None, :] - candidates[None, :, None] + half) % n - half
+        r_axis = candidates[np.argmin((wrapped**2).sum(axis=-1), axis=-1)]
+        moving = np.ones(rows, dtype=bool)
         for _ in range(20):
-            w = (column - r_axis + half) % n - half
-            step = float(w.sum() / w.size)
-            r_axis += step
-            if abs(step) < 1e-15 * max(1.0, n):
+            w = (column - r_axis[:, None] + half) % n - half
+            step = w.sum(axis=-1) / n_ions
+            r_axis = np.where(moving, r_axis + step, r_axis)
+            moving &= ~(np.abs(step) < 1e-15 * max(1.0, n))
+            if not np.count_nonzero(moving):
                 break
-        r_best[axis] = r_axis % n
-    # sum / size and sqrt(x @ x) give the bits of mean() and norm() without
-    # their per-call overhead, which shows in every step of a sweep
-    wrapped = ((q - r_best[None, :] + half) % n - half).ravel()
-    ion_part = math.sqrt(wrapped @ wrapped)
-    momenta = p.ravel()
-    momentum_part = math.sqrt(momenta @ momenta)
-    return DistanceResult(
-        psi_part + ion_part + momentum_part, alpha, r_best,
-        psi_part, ion_part, momentum_part,
-    )
+        r_best[:, axis] = r_axis % n
+    # np.vecdot(x, x) has the bits of x @ x per row; a sum of squares does not
+    wrapped = ((q - r_best[:, None, :] + half) % n - half).reshape(rows, -1)
+    ion_part = np.sqrt(np.vecdot(wrapped, wrapped))
+    momenta = p.reshape(rows, -1)
+    momentum_part = np.sqrt(np.vecdot(momenta, momenta))
+    return (psi_part + ion_part + momentum_part, alpha, r_best,
+            psi_part, ion_part, momentum_part)
 
 
 def sample_tangent_perturbation(gs: GroundState, rng: np.random.Generator) -> TangentVector:
@@ -539,6 +548,43 @@ class TrajectoryRecord:
         return float(np.abs(self.charge - self.charge[0]).max())
 
 
+def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
+              dt: float, method: str, fp_tol: float,
+              max_iterations: int) -> list:
+    """Evolve the rows (label, perturbation, delta) as one batch, tracking
+    each row's distance to S; one record per row, in row order.
+
+    The observer buffers the R row states of each record and measures them
+    with one batched distance.
+    """
+    initial = [
+        gs.state() if perturbation is None or delta == 0.0
+        else perturbed_state(gs, perturbation, delta)
+        for _, perturbation, delta in rows
+    ]
+    context = _distance_context(gs)
+    distances, pending = [], []
+
+    def observer(t, state):
+        pending.append(state)
+        if len(pending) == len(rows):
+            c = np.stack([s.psi.values for s in pending])
+            q = np.stack([s.ions.q for s in pending])
+            p = np.stack([s.ions.p for s in pending])
+            distances.append(_distance(c, q, p, *context)[0])
+            pending.clear()
+
+    _, log = evolve(initial, gs.sigma, dt, duration, method=method,
+                    fp_tol=fp_tol, max_iterations=max_iterations,
+                    observer=observer)
+    distance = np.array(distances)
+    return [
+        TrajectoryRecord(label, float(delta), log.t, distance[:, row],
+                         log.energy[:, row], log.charge[:, row])
+        for row, (label, _, delta) in enumerate(rows)
+    ]
+
+
 def run_trajectory(
     gs: GroundState,
     perturbation: Optional[TangentVector],
@@ -548,24 +594,12 @@ def run_trajectory(
     method: str = "implicit_midpoint",
     fp_tol: float = 1e-13,
     label: str = "",
+    max_iterations: int = 50,
 ) -> TrajectoryRecord:
-    """Evolve one perturbed ground state, tracking the distance to S."""
-    if perturbation is None or delta == 0.0:
-        initial = gs.state()
-    else:
-        initial = perturbed_state(gs, perturbation, delta)
-    distances = []
-    context = _distance_context(gs)
-
-    def observer(t, state):
-        distances.append(distance_to_manifold(state, gs, context).distance)
-
-    _, log = evolve(initial, gs.sigma, dt, duration, method=method,
-                    fp_tol=fp_tol, observer=observer)
-    return TrajectoryRecord(
-        label or "trajectory", float(delta), log.t, np.array(distances),
-        log.energy, log.charge,
-    )
+    """Evolve one perturbed ground state, tracking the distance to S: a batch
+    of one."""
+    row = (label or "trajectory", perturbation, delta)
+    return _run_rows(gs, [row], duration, dt, method, fp_tol, max_iterations)[0]
 
 
 @dataclass(eq=False)
@@ -582,16 +616,6 @@ class StabilityResult:
         return out
 
 
-def _direction_records(gs, deltas, duration, dt, method, fp_tol, index,
-                       direction) -> list:
-    """The runs of one perturbation direction, one per delta."""
-    return [
-        run_trajectory(gs, direction, delta, duration, dt, method, fp_tol,
-                       label=f"perturbation-{index}")
-        for delta in deltas
-    ]
-
-
 def stability_experiment(
     gs: GroundState,
     deltas: Sequence[float],
@@ -603,41 +627,49 @@ def stability_experiment(
     fp_tol: float = 1e-13,
     include_controls: bool = True,
     workers: int = 1,
+    max_iterations: int = 50,
 ) -> StabilityResult:
     """Seeded batch of perturbation runs plus zero and translation controls.
 
     Perturbation directions are drawn once per index from spawned seed
     streams and reused across all deltas, so the map delta -> sup-distance
-    is meaningful direction by direction.  The controls run first, then
-    each direction's runs in index order.  With ``workers`` above 1 the
-    directions are mapped over a pool of at most one process per direction,
-    each handed the ground state and its direction; the records, and so
-    every output, are the same as with one worker.
+    is meaningful direction by direction.  The records come in row order:
+    the controls first, then each direction's runs in index order, one per
+    delta.  All rows step in lock-step as one batched ``evolve`` call.
+    With ``workers`` above 1 the directions split into contiguous chunks,
+    at most one per direction, and each chunk (the first with the
+    controls) runs as one batch in its own process.  Every row has the bits
+    of its own single run, so the records, and every output, are the same
+    for any number of workers.
     """
     streams = np.random.SeedSequence(seed).spawn(n_perturbations)
     directions = [
         sample_tangent_perturbation(gs, np.random.default_rng(stream))
         for stream in streams
     ]
-    records = []
+    controls = []
     if include_controls:
-        records.append(run_trajectory(
-            gs, None, 0.0, duration, dt, method, fp_tol, label="zero"))
-        for axis in range(gs.spec.dimension):
-            records.append(run_trajectory(
-                gs, translation_perturbation(gs, axis), max(deltas), duration,
-                dt, method, fp_tol, label=f"translation-{axis}"))
-    runs = partial(_direction_records, gs, deltas, duration, dt, method, fp_tol)
-    indices = range(n_perturbations)
+        controls.append(("zero", None, 0.0))
+        controls.extend(
+            (f"translation-{axis}", translation_perturbation(gs, axis), max(deltas))
+            for axis in range(gs.spec.dimension))
     pool_size = min(workers, n_perturbations)
+    chunks = np.array_split(np.arange(n_perturbations), max(pool_size, 1))
+    batches = [
+        [(f"perturbation-{index}", directions[index], delta)
+         for index in chunk for delta in deltas]
+        for chunk in chunks
+    ]
+    batches[0] = controls + batches[0]
+    batches = [batch for batch in batches if batch]
+    runs = partial(_run_rows, gs, duration=duration, dt=dt, method=method,
+                   fp_tol=fp_tol, max_iterations=max_iterations)
     if pool_size > 1:
         # spawned, not forked: a forked child inherits the parent's threads'
         # locks, and each worker is handed everything it needs anyway
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=pool_size, mp_context=spawn) as pool:
-            batches = list(pool.map(runs, indices, directions))
+            results = list(pool.map(runs, batches))
     else:
-        batches = map(runs, indices, directions)
-    for batch in batches:
-        records.extend(batch)
-    return StabilityResult(records)
+        results = map(runs, batches)
+    return StabilityResult([record for batch in results for record in batch])

@@ -434,6 +434,24 @@ def test_exit_code_integrator(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw, expected", [("1", 5), ("50", 0)])
+def test_stability_honours_max_iterations(tmp_path, monkeypatch, capsys, raw,
+                                          expected):
+    # [dynamics] max_iterations bounds the stage solve of stability runs as
+    # well: the perturbed steps need 2 iterations, so a bound of 1 exits 5
+    ini = tmp_path / "one.ini"
+    ini.write_text(
+        "[basis]\nksq_budget = 78.9568352087149\n"
+        "[stability]\ndt = 1e-3\nduration = 0.01\ndeltas = 0.01\n"
+        "n_perturbations = 1\ninclude_controls = false\n"
+    )
+    monkeypatch.setenv("FERMICRYSTAL_DYNAMICS_MAX_ITERATIONS", raw)
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"),
+                 "stability"])
+    assert code == expected
+    capsys.readouterr()
+
+
 def test_ground_state_evolve_large_step(tmp_path):
     # at the ground state the coupling vanishes, so the kinetic-exact stage
     # solve converges at any dt and the step conserves charge and energy

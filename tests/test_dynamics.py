@@ -355,3 +355,82 @@ def test_energy_gauge_invariant_property(seed):
     plain = CrystalState(CIVector(basis, values), ions)
     spun = CrystalState(CIVector(basis, np.exp(1j * theta) * values), ions)
     assert energy(plain, sigma) == pytest.approx(energy(spun, sigma), rel=1e-12)
+
+
+# --- batched evolution ---
+
+
+def batch_states(gs):
+    # the ground state (1 iteration per step) and perturbations whose steps
+    # take 3 to 5 iterations, so rows freeze at different sweeps
+    rng = np.random.default_rng
+    return [gs.state()] + [
+        perturbed_state(gs, sample_tangent_perturbation(gs, rng(seed)), delta)
+        for seed, delta in [(1, 1e-3), (2, 1e-2), (3, 0.1), (4, 0.3)]
+    ]
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "splitting", "rk4"])
+def test_batch_rows_match_single_runs(gs1d, sigma1d, method):
+    states = batch_states(gs1d)
+    finals, log = evolve(states, sigma1d, dt=2e-2, duration=0.2, method=method)
+    assert log.energy.shape == log.charge.shape == (11, len(states))
+    for row, state in enumerate(states):
+        final, single = evolve(state, sigma1d, dt=2e-2, duration=0.2,
+                               method=method)
+        np.testing.assert_array_equal(finals[row].psi.values, final.psi.values)
+        np.testing.assert_array_equal(finals[row].ions.q, final.ions.q)
+        np.testing.assert_array_equal(finals[row].ions.p, final.ions.p)
+        np.testing.assert_array_equal(log.energy[:, row], single.energy)
+        np.testing.assert_array_equal(log.charge[:, row], single.charge)
+
+
+def test_batch_prefix_matches_smaller_batch(gs1d, sigma1d):
+    states = batch_states(gs1d)
+    _, small = evolve(states[:3], sigma1d, dt=2e-2, duration=0.1)
+    _, large = evolve(states, sigma1d, dt=2e-2, duration=0.1)
+    np.testing.assert_array_equal(large.energy[:, :3], small.energy)
+    np.testing.assert_array_equal(large.charge[:, :3], small.charge)
+
+
+def test_batch_divergent_row_named(gs1d, sigma1d):
+    # at dt = 2.5 the ground state converges and a perturbed state diverges
+    diverging = batch_states(gs1d)[2]
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegratorError) as single:
+            evolve(diverging, sigma1d, dt=2.5, duration=5.0)
+        with pytest.raises(IntegratorError) as batched:
+            evolve([gs1d.state(), gs1d.state(), diverging], sigma1d, dt=2.5,
+                   duration=5.0)
+    assert batched.value.row == 2 and single.value.row == 0
+    assert batched.value.step == single.value.step
+    assert batched.value.residual == single.value.residual
+    assert "row 2" in str(batched.value)
+
+
+def test_batch_observer_and_iterations_contract(gs1d, sigma1d):
+    # perfbench/tracing.py relies on this: StepClock counts one step per
+    # observer(t, state) call, and the tracer's evolve hook reads
+    # log.iterations[1:] as one integer count per step
+    states = batch_states(gs1d)
+    rows, steps = len(states), 10
+    seen = []
+    _, log = evolve(states, sigma1d, dt=2e-2, duration=0.2,
+                    observer=lambda t, s: seen.append((t, s)))
+    assert len(seen) == rows * (steps + 1)
+    assert log.iterations.shape == (steps + 1,)
+    assert log.iterations.dtype.kind == "i"
+    counts = []
+    for row, state in enumerate(states):
+        single_seen = []
+        _, single = evolve(state, sigma1d, dt=2e-2, duration=0.2,
+                           observer=lambda t, s: single_seen.append((t, s)))
+        counts.append(single.iterations)
+        for k, (t, s) in enumerate(single_seen):
+            t_batch, s_batch = seen[k * rows + row]
+            assert t_batch == t
+            np.testing.assert_array_equal(s_batch.psi.values, s.psi.values)
+            np.testing.assert_array_equal(s_batch.ions.q, s.ions.q)
+            np.testing.assert_array_equal(s_batch.ions.p, s.ions.p)
+    np.testing.assert_array_equal(log.iterations, np.max(counts, axis=0))
+    assert len({int(c[1]) for c in counts}) > 1  # rows stop at different sweeps

@@ -464,6 +464,30 @@ def test_stability_experiment_structure(gs1d):
         np.testing.assert_array_equal(a.distance, b.distance)
 
 
+def test_stability_experiment_matches_single_runs(gs1d):
+    # the sweep steps all its rows as one batch; each record keeps the bits
+    # of its own run_trajectory from the same initial state
+    deltas = [1e-3, 1e-2]
+    result = stability_experiment(gs1d, deltas=deltas, n_perturbations=3,
+                                  duration=0.05, dt=1e-3, seed=4)
+    directions = [
+        sample_tangent_perturbation(gs1d, np.random.default_rng(stream))
+        for stream in np.random.SeedSequence(4).spawn(3)
+    ]
+    expected = [("zero", None, 0.0),
+                ("translation-0", translation_perturbation(gs1d, 0), 1e-2)]
+    expected += [(f"perturbation-{index}", y, delta)
+                 for index, y in enumerate(directions) for delta in deltas]
+    assert [(r.label, r.delta) for r in result.records] == [
+        (label, delta) for label, _, delta in expected]
+    for record, (label, y, delta) in zip(result.records, expected):
+        single = run_trajectory(gs1d, y, delta, duration=0.05, dt=1e-3)
+        np.testing.assert_array_equal(record.t, single.t)
+        np.testing.assert_array_equal(record.distance, single.distance)
+        np.testing.assert_array_equal(record.energy, single.energy)
+        np.testing.assert_array_equal(record.charge, single.charge)
+
+
 def test_stability_experiment_pool_clamped(gs1d, monkeypatch):
     # a pool of one process per direction at most; a stand-in executor
     # records the size asked for and maps in this process
