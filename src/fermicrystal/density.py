@@ -201,13 +201,13 @@ def load_density_file(path) -> IonDensityModel:
         d, n, n_g = int(tokens[0]), int(tokens[1]), int(tokens[2])
         z_val, e_val = float(tokens[3]), float(tokens[4])
         values = np.array([float(t) for t in tokens[5:]])
+        spec = TorusSpec(d, n, n_g)  # refuses a header naming no valid torus
     except ValueError as exc:
         raise InvalidDensityError(f"density file {path}: {exc}") from None
     if values.size != n_g**d:
         raise InvalidDensityError(
             f"density file {path}: expected {n_g**d} samples, found {values.size}"
         )
-    spec = TorusSpec(d, n, n_g)
     return grid_density(spec, values.reshape((n_g,) * d), z_val, e_val)
 
 

@@ -92,13 +92,32 @@ def ground_occupations(spec: TorusSpec) -> tuple[list, float]:
     return sorted(sets), omega0
 
 
+def _one_apart(sets):
+    """Ordered pairs of sorted-tuple sets one substitution apart, as (i, a, j, b).
+
+    Two sets are one substitution apart exactly when removing slot a from
+    set i and slot b from set j leaves the same N_bar - 1 orbitals (the
+    hole) and the removed orbitals differ.  The (set, slot) pairs are
+    grouped by their hole, each group sorted by the removed orbital, so the
+    pairs come in the order of a scan over i, a and the new orbital.
+    """
+    holes: dict = {}
+    for i, occupation in enumerate(sets):
+        for a, k in enumerate(occupation):
+            holes.setdefault(occupation[:a] + occupation[a + 1:], []).append((k, i, a))
+    for group in holes.values():
+        group.sort()
+    for i, occupation in enumerate(sets):
+        for a, k in enumerate(occupation):
+            for k_new, j, b in holes[occupation[:a] + occupation[a + 1:]]:
+                if k_new != k:
+                    yield i, a, j, b
+
+
 def check_adr(occupations) -> bool:
     """Whether all pairs of distinct sets differ in at least two orbitals."""
-    family = [frozenset(occ) for occ in occupations]
-    for a, b in itertools.combinations(range(len(family)), 2):
-        if family[a] != family[b] and len(family[a] - family[b]) < 2:
-            return False
-    return True
+    sets = [tuple(sorted(occupation)) for occupation in occupations]
+    return next(_one_apart(sets), None) is None
 
 
 def enumerate_basis(
@@ -163,32 +182,21 @@ class SubstitutionTable:
 
     def __init__(self, basis: "DeterminantBasis"):
         table = frequency_table(basis.spec)
-        pool = sorted({orbital for occ in basis.sets for orbital in occ})
-        src, dst, sign, delta, neg_delta = [], [], [], [], []
-        for i, occupation in enumerate(basis.sets):
-            occupied = set(occupation)
-            for a, k in enumerate(occupation):
-                for k_new in pool:
-                    if k_new in occupied:
-                        continue
-                    step = tuple(x - y for x, y in zip(k_new, k))
-                    if step not in table.index:
-                        continue
-                    target = tuple(sorted(occupied - {k} | {k_new}))
-                    j = basis.index.get(target)
-                    if j is None:
-                        continue
-                    b = target.index(k_new)
-                    src.append(i)
-                    dst.append(j)
-                    sign.append(-1.0 if (a - b) % 2 else 1.0)
-                    delta.append(table.index[step])
-                    neg_delta.append(table.index[tuple(-s for s in step)])
+        sets = basis.sets
+        src, dst, sign, delta = [], [], [], []
+        for i, a, j, b in _one_apart(sets):
+            k, k_new = sets[i][a], sets[j][b]
+            step = table.index.get(tuple(x - y for x, y in zip(k_new, k)))
+            if step is not None:
+                src.append(i)
+                dst.append(j)
+                sign.append(-1.0 if (a - b) % 2 else 1.0)
+                delta.append(step)
         self.src = np.array(src, dtype=np.intp)
         self.dst = np.array(dst, dtype=np.intp)
         self.sign = np.array(sign)
         self.delta = np.array(delta, dtype=np.intp)
-        self.neg_delta = np.array(neg_delta, dtype=np.intp)
+        self.neg_delta = table.conj[self.delta]
         self.n_freq = table.size
         self.zero = table.zero
         self.n_electrons = basis.n_electrons

@@ -429,65 +429,50 @@ class DistanceResult:
     momentum_part: float
 
 
-def _distance_context(gs: GroundState) -> tuple:
-    """The H^1 weight, psi0, the shift candidates and N of one ground state."""
-    n = gs.spec.cells_per_axis
-    return 1.0 + gs.basis.ksq_total, gs.psi0.values, np.arange(16) * (n / 16.0), n
-
-
-def distance_to_manifold(state: CrystalState, gs: GroundState,
-                         context: Optional[tuple] = None) -> DistanceResult:
+def distance_to_manifold(state: CrystalState, gs: GroundState) -> DistanceResult:
     """d(X, S): infimum over phase and lattice shift of the orbit metric.
 
-    The phase minimizer is closed form, alpha = arg <psi, psi0>_{H^1}; the
-    shift minimizes the wrapped quadratic per axis (the objective is
-    separable), scanned on a 16-point grid and polished by fixed-point
-    recentering steps r <- r + mean(wrap(q - r)), which is Newton's method
-    on the smooth branches.  ``context`` is ``_distance_context(gs)``, built
-    once.  The state is measured as a batch of one.
+    The phase minimizer is closed form, alpha = arg <psi, psi0>_{H^1}, and so
+    is the shift, one axis at a time (see ``_distance``).  The state is
+    measured as a batch of one.
     """
     if state.psi.basis is not gs.basis:
         raise DimensionMismatchError("state and ground state use different bases")
-    context = _distance_context(gs) if context is None else context
     distance, alpha, r, psi_part, ion_part, momentum_part = _distance(
-        state.psi.values[None], state.ions.q[None], state.ions.p[None], *context)
+        state.psi.values[None], state.ions.q[None], state.ions.p[None], gs)
     return DistanceResult(float(distance[0]), float(alpha[0]), r[0],
                           float(psi_part[0]), float(ion_part[0]),
                           float(momentum_part[0]))
 
 
-def _distance(c, q, p, weight, psi0, candidates, n) -> tuple:
+def _distance(c, q, p, gs: GroundState) -> tuple:
     """The parts of ``DistanceResult`` for R rows at once, each an array over
-    the rows: c is (R, B), q and p are (R, n_ions, d).
+    the rows: c is (R, B), q and p are (R, m, d) with m ions.
 
-    The shift scan runs over all rows and candidates together; the polish
-    updates each row until its own step falls below the stopping size.
+    Per axis the shift minimizes f(r) = sum_n wrap(q_n - r)^2.  Between its
+    kinks at q_n + N/2, which are concave, f is the quadratic
+    sum_n (s_n + j_n N - r)^2 in s = q mod N with fixed integers j_n, so its
+    minimum is a vertex mean(s) + k N / m, k = sum_n j_n: the smallest f over
+    k = 0, ..., m - 1, the first on ties.  Every reduction runs over the
+    last, contiguous axis, so each row gets the bits of its single-row call.
     """
-    rows, n_ions, dimension = q.shape
+    weight, psi0 = 1.0 + gs.basis.ksq_total, gs.psi0.values
     z = (weight * c * np.conj(psi0)).sum(axis=-1)
     alpha = np.where(z != 0, np.angle(z), 0.0)
     diff = c - np.exp(1j * alpha)[:, None] * psi0
     psi_part = np.sqrt((weight * np.abs(diff) ** 2).sum(axis=-1))
 
+    n, n_ions = gs.spec.cells_per_axis, q.shape[1]
     half = n / 2.0
-    r_best = np.zeros((rows, dimension))
-    for axis in range(dimension):
-        column = q[:, :, axis]
-        wrapped = (column[:, None, :] - candidates[None, :, None] + half) % n - half
-        r_axis = candidates[np.argmin((wrapped**2).sum(axis=-1), axis=-1)]
-        moving = np.ones(rows, dtype=bool)
-        for _ in range(20):
-            w = (column - r_axis[:, None] + half) % n - half
-            step = w.sum(axis=-1) / n_ions
-            r_axis = np.where(moving, r_axis + step, r_axis)
-            moving &= ~(np.abs(step) < 1e-15 * max(1.0, n))
-            if not np.count_nonzero(moving):
-                break
-        r_best[:, axis] = r_axis % n
-    # np.vecdot(x, x) has the bits of x @ x per row; a sum of squares does not
-    wrapped = ((q - r_best[:, None, :] + half) % n - half).reshape(rows, -1)
-    ion_part = np.sqrt(np.vecdot(wrapped, wrapped))
-    momenta = p.reshape(rows, -1)
+    ions = np.ascontiguousarray(q.transpose(0, 2, 1))  # (R, d, m)
+    mean = (ions % n).sum(axis=-1) / n_ions
+    candidates = (mean[..., None] + np.arange(n_ions) * (n / n_ions)) % n
+    wrapped = (ions[:, :, None, :] - candidates[..., None] + half) % n - half
+    f = np.vecdot(wrapped, wrapped)  # (R, d, candidates)
+    best = np.argmin(f, axis=-1)[..., None]
+    r_best = np.take_along_axis(candidates, best, axis=-1)[..., 0]
+    ion_part = np.sqrt(f.min(axis=-1).sum(axis=-1))
+    momenta = p.reshape(len(p), -1)
     momentum_part = np.sqrt(np.vecdot(momenta, momenta))
     return (psi_part + ion_part + momentum_part, alpha, r_best,
             psi_part, ion_part, momentum_part)
@@ -562,7 +547,6 @@ def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
         else perturbed_state(gs, perturbation, delta)
         for _, perturbation, delta in rows
     ]
-    context = _distance_context(gs)
     distances, pending = [], []
 
     def observer(t, state):
@@ -571,7 +555,7 @@ def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
             c = np.stack([s.psi.values for s in pending])
             q = np.stack([s.ions.q for s in pending])
             p = np.stack([s.ions.p for s in pending])
-            distances.append(_distance(c, q, p, *context)[0])
+            distances.append(_distance(c, q, p, gs)[0])
             pending.clear()
 
     _, log = evolve(initial, gs.sigma, dt, duration, method=method,
@@ -640,7 +624,9 @@ def stability_experiment(
     at most one per direction, and each chunk (the first with the
     controls) runs as one batch in its own process.  Every row has the bits
     of its own single run, so the records, and every output, are the same
-    for any number of workers.
+    for any number of workers.  The workers are spawned and re-import the
+    calling script, so a script must call this with ``workers`` above 1 under
+    ``if __name__ == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     streams = np.random.SeedSequence(seed).spawn(n_perturbations)
     directions = [

@@ -334,6 +334,20 @@ def test_exit_code_bad_density_file(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_exit_code_density_file_invalid_torus(tmp_path, capsys):
+    # n_g = 16 is no multiple of N = 3: refused as invalid input data, with
+    # one line that names the file
+    blob = tmp_path / "sigma.txt"
+    blob.write_text("1 3 16 1.0 1.0 " + " ".join(["0.1"] * 16) + "\n")
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"), "density"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(blob) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _gaussian_density_file(tmp_path):
     # a gaussian profile is a valid density file (d N n_g = 1 2 16) but not
     # crystal compatible

@@ -115,6 +115,11 @@ def test_density_file_malformed(tmp_path):
     path.write_text("1 2 16 1.0 1.0 " + " ".join(["0.1"] * 7))
     with pytest.raises(InvalidDensityError):
         load_density_file(path)
+    # headers naming no valid torus: n_g not a multiple of N, d = 4, n_g = 0
+    for header, samples in [("1 3 16", 16), ("4 2 2", 16), ("1 2 0", 0)]:
+        path.write_text(f"{header} 1.0 1.0 " + " ".join(["0.1"] * samples))
+        with pytest.raises(InvalidDensityError, match="bad.txt"):
+            load_density_file(path)
 
 
 def test_sigma_tilde_off_lattice_raises(spec1d):

@@ -9,6 +9,7 @@ from fermicrystal import (
     CapacityError,
     CIVector,
     FourierScalarField,
+    SubstitutionTable,
     TorusSpec,
     apply_kinetic,
     apply_one_body_potential,
@@ -76,6 +77,35 @@ def test_check_adr():
     assert check_adr([((-1,), (0,)), ((1,), (2,))])  # disjoint pairs
     assert not check_adr([((-1,), (0,)), ((0,), (1,))])  # differ in one orbital
     assert check_adr([((0,), (1,))])  # single set trivially admissible
+    assert check_adr([])
+    assert check_adr([((0,), (1,)), ((1,), (0,))])  # one set, written twice
+    assert not check_adr([((0,),), ((1,),)])  # N = 1: any two sets are one apart
+    assert not check_adr([((2,), (0,)), ((0,), (1,))])  # unsorted, one apart
+
+
+def _adr_pairwise(occupations) -> bool:
+    # reference rule over all pairs: distinct sets differ in >= 2 orbitals
+    family = [frozenset(occ) for occ in occupations]
+    return all(a == b or len(a - b) >= 2
+               for a, b in itertools.combinations(family, 2))
+
+
+@st.composite
+def _families(draw):
+    # same-size sets of distinct 1-d orbitals, unsorted, with repeated sets
+    size = draw(st.integers(1, 3))
+    orbital = st.integers(-3, 3).map(lambda h: (h,))
+    occupation = st.lists(orbital, min_size=size, max_size=size, unique=True)
+    family = draw(st.lists(occupation.map(tuple), max_size=6))
+    repeats = draw(st.lists(st.sampled_from(family), max_size=2)) if family else []
+    return family + repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+def test_check_adr_matches_pairwise_rule(family):
+    assert check_adr(family) == _adr_pairwise(family)
+
 
 
 def test_enumerate_basis_contents(spec1d):
@@ -102,6 +132,54 @@ def test_enumerate_basis_sorted_and_indexed(basis1d):
         assert occ in basis1d
     kinetic = np.array([occupation_kinetic(basis1d.spec, occ) for occ in basis1d.sets])
     np.testing.assert_allclose(basis1d.kinetic, kinetic)
+
+
+def _scanned_table(basis):
+    # the table as a scan over every pool orbital in every slot of every
+    # determinant, kept as the reference for the build from shared holes
+    table = frequency_table(basis.spec)
+    pool = sorted({orbital for occ in basis.sets for orbital in occ})
+    src, dst, sign, delta, neg_delta = [], [], [], [], []
+    for i, occupation in enumerate(basis.sets):
+        occupied = set(occupation)
+        for a, k in enumerate(occupation):
+            for k_new in pool:
+                if k_new in occupied:
+                    continue
+                step = tuple(x - y for x, y in zip(k_new, k))
+                if step not in table.index:
+                    continue
+                target = tuple(sorted(occupied - {k} | {k_new}))
+                j = basis.index.get(target)
+                if j is None:
+                    continue
+                b = target.index(k_new)
+                src.append(i)
+                dst.append(j)
+                sign.append(-1.0 if (a - b) % 2 else 1.0)
+                delta.append(table.index[step])
+                neg_delta.append(table.index[tuple(-s for s in step)])
+    return {
+        "src": np.array(src, dtype=np.intp), "dst": np.array(dst, dtype=np.intp),
+        "sign": np.array(sign), "delta": np.array(delta, dtype=np.intp),
+        "neg_delta": np.array(neg_delta, dtype=np.intp),
+    }
+
+
+@pytest.mark.parametrize("geometry, budget, size", [
+    ((1, 2, 16), 0.0, 0),
+    ((1, 2, 16), 8.0, 10),
+    ((2, 2, 12), 8.0, 558),
+    ((2, 2, 12), 11.0, 2002),
+], ids=["empty", "B10", "B558", "B2002"])
+def test_substitution_table_matches_scan(geometry, budget, size):
+    basis = enumerate_basis(TorusSpec(*geometry), budget * np.pi**2)
+    assert basis.size == size
+    table = SubstitutionTable(basis)
+    for name, expected in _scanned_table(basis).items():
+        array = getattr(table, name)
+        assert array.dtype == expected.dtype, name
+        assert np.array_equal(array, expected), name
 
 
 def test_enumerate_basis_capacity(spec1d):

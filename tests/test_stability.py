@@ -20,6 +20,7 @@ from fermicrystal import (
     first_variation_residual,
     frequency_table,
     grid_density,
+    ground_occupations,
     hessian_assemble,
     hessian_spectrum,
     linearized_density,
@@ -386,6 +387,78 @@ def test_distance_scales_linearly(gs1d):
     d2 = distance_to_manifold(perturbed_state(gs1d, y, 2e-3), gs1d).distance
     assert d2 / d1 == pytest.approx(2.0, rel=1e-2)
     assert d1 == pytest.approx(1e-3, rel=0.1)
+
+
+def _ground_state_n3(dimension):
+    # N = 3 cells per axis on the basis of the minimal sets
+    spec = TorusSpec(dimension, 3, 6)
+    _, omega0 = ground_occupations(spec)
+    basis = enumerate_basis(spec, 2.0 * omega0 + 1e-9)
+    return build_ground_state(basis, box_density(spec, 1))
+
+
+def _grid_ion_part(q, n, refine=False):
+    # brute force per axis: f(r) = sum wrap(q - r)^2 on 30,001 shifts over
+    # [0, N]; refined on 30,001 shifts across the two cells around the best
+    total = 0.0
+    for column in q.T:
+        def f(r):
+            x = column - r[:, None]
+            return ((x - n * np.rint(x / n)) ** 2).sum(axis=1)
+        grid = np.linspace(0.0, n, 30001)
+        values = f(grid)
+        if refine:
+            best, step = grid[np.argmin(values)], grid[1] - grid[0]
+            values = f(np.linspace(best - step, best + step, 30001))
+        total += values.min()
+    return np.sqrt(total)
+
+
+def test_distance_shift_exact_n3():
+    # the minimum is the vertex r = mean(q) = 1.21667 (ion part 1.22412); the
+    # neighbouring arc's vertex r = 2.21667 gives 1.23226
+    gs = _ground_state_n3(1)
+    q = np.array([[1.65], [0.22], [1.78]])
+    state = CrystalState(gs.psi0.copy(), IonState(q, np.zeros_like(q), 1.0))
+    result = distance_to_manifold(state, gs)
+    assert abs(result.ion_part - _grid_ion_part(q, 3, refine=True)) <= 1e-9
+    assert result.ion_part == pytest.approx(1.2241187306, abs=1e-9)
+    assert result.r[0] == pytest.approx(3.65 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_distance_never_above_grid_minimum(dimension):
+    # far from the manifold, uniform ion displacements: the closed-form shift
+    # is never beaten by a brute-force grid
+    gs = _ground_state_n3(dimension)
+    rng = np.random.default_rng(2017 + dimension)
+    for _ in range(200):
+        q = rng.uniform(0.0, 3.0, (gs.spec.n_ions, dimension))
+        state = CrystalState(gs.psi0.copy(), IonState(q, np.zeros_like(q), 1.0))
+        result = distance_to_manifold(state, gs)
+        assert result.distance <= _grid_ion_part(q, 3) + 1e-12
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_batched_distance_matches_single_rows_d2(cells, basis2d, sigma2d_box):
+    # 4 or 9 ions per axis: every reduction over the ion axis gives each row
+    # of a batch the bits of its own single-row call
+    gs = (build_ground_state(basis2d, sigma2d_box) if cells == 2
+          else _ground_state_n3(2))
+    rng = np.random.default_rng(cells)
+    rows, shape = 40, (gs.spec.n_ions, 2)
+    c = gs.psi0.values + 0.1 * (rng.standard_normal((rows, gs.basis.size))
+                                + 1j * rng.standard_normal((rows, gs.basis.size)))
+    near = gs.r + 0.01 * rng.standard_normal((rows // 2,) + shape)
+    far = rng.uniform(0.0, cells, (rows - rows // 2,) + shape)
+    q = np.concatenate([near, far])
+    p = rng.standard_normal((rows,) + shape)
+    batch = stability._distance(c, q, p, gs)
+    for row in range(rows):
+        single = stability._distance(c[row:row + 1], q[row:row + 1],
+                                     p[row:row + 1], gs)
+        for part, value in zip(batch, single):
+            assert np.array_equal(part[row:row + 1], value)
 
 
 # --- perturbations ---
