@@ -23,10 +23,18 @@ satisfy the crystal condition for every k; for d >= 2 they vanish on whole
 hyperplanes off gamma*, so positivity fails.  The perturbed box adds a
 strictly positive bump off gamma*, restoring positivity while keeping the
 crystal condition and the total charge.
+
+The shifted lattice theta + 2 pi Z^d is the product of the d lattices
+theta_i + 2 pi Z, and the closed-form transforms are built from per-axis
+factors (a product of box profiles, a sum of per-axis bumps, a product of
+envelopes), so Sigma(theta) is summed on a product grid from 1-d tables.
+Its entries sum_xi w(xi) xi_i xi_j, with w = |sigma_hat|^2 / |xi|^2, are
+then the one- and two-axis marginals of w against the 1-d coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,19 +58,21 @@ def box_profile_transform(s: np.ndarray, k: int) -> np.ndarray:
     return np.sinc(np.asarray(s, dtype=float) / TWO_PI) ** k
 
 
-def _box_transform(xi: np.ndarray, k: int, charge: float) -> np.ndarray:
-    return charge * np.prod(box_profile_transform(xi, k), axis=-1)
+def _box_transform(axes, k: int, charge: float) -> np.ndarray:
+    # ``axes`` holds one coordinate array per axis; they broadcast together,
+    # so the columns of an (n, d) array and reshaped 1-d axes both work.
+    return charge * math.prod(box_profile_transform(a, k) for a in axes)
 
 
 def _perturbed_box_transform(
-    xi: np.ndarray, k: int, amplitude: float, decay: float, charge: float
+    axes, k: int, amplitude: float, decay: float, charge: float
 ) -> np.ndarray:
     # The bump sum_i sin^2(xi_i / 2) vanishes exactly on gamma* and nowhere
     # else; the per-axis algebraic decay keeps |sigma_hat| <= C / |xi|^2.
-    xi = np.asarray(xi, dtype=float)
-    box = np.prod(box_profile_transform(xi, k), axis=-1)
-    bump = (np.sin(xi / 2.0) ** 2).sum(axis=-1)
-    envelope = np.prod(1.0 / (1.0 + (xi / TWO_PI) ** 2), axis=-1) ** decay
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    box = math.prod(box_profile_transform(a, k) for a in axes)
+    bump = sum(np.sin(a / 2.0) ** 2 for a in axes)
+    envelope = math.prod(1.0 / (1.0 + (a / TWO_PI) ** 2) for a in axes) ** decay
     return charge * (box + amplitude * bump * envelope)
 
 
@@ -107,6 +117,19 @@ class IonDensityModel:
     def charge(self) -> float:
         return self.e * self.Z
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether sigma_hat has a closed form at every xi, not only samples."""
+        return self.kind in ("box", "perturbed_box")
+
+    def _transform(self, axes) -> np.ndarray:
+        """Closed-form sigma_hat on per-axis coordinate arrays that broadcast."""
+        if self.kind == "box":
+            (k,) = self.params
+            return _box_transform(axes, k, self.charge)
+        k, amplitude, decay = self.params
+        return _perturbed_box_transform(axes, k, amplitude, decay, self.charge)
+
     def sigma_tilde(self, xi: np.ndarray) -> np.ndarray:
         """Evaluate sigma_hat at arbitrary frequency vectors.
 
@@ -114,21 +137,13 @@ class IonDensityModel:
         look up retained coefficients and raise beyond the cutoff.
         """
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        if self.kind == "box":
-            (k,) = self.params
-            return _box_transform(xi, k, self.charge)
-        if self.kind == "perturbed_box":
-            k, amplitude, decay = self.params
-            return _perturbed_box_transform(xi, k, amplitude, decay, self.charge)
-        table = self.field.table
+        if self.closed_form:
+            return self._transform(xi.T)
         h = xi * self.spec.cells_per_axis / TWO_PI
         h_int = np.rint(h).astype(int)
         if not np.allclose(h, h_int, atol=1e-9):
             raise FrequencyDomainError("xi is not on the frequency lattice of this torus")
-        out = np.empty(len(h_int), dtype=complex)
-        for i, row in enumerate(h_int):
-            out[i] = self.field.values[table.position(row)]
-        return out
+        return self.field.values[self.field.table.positions(h_int)]
 
 
 def _field_from_transform(spec: TorusSpec, evaluate) -> FourierScalarField:
@@ -140,7 +155,7 @@ def box_density(spec: TorusSpec, k: int, Z: float = 1.0, e: float = 1.0) -> IonD
     """Product box density sigma_k, centered on the ion so the transform is real."""
     if k < 1:
         raise InvalidDensityError("box order k must be a positive integer")
-    field = _field_from_transform(spec, lambda xi: _box_transform(xi, k, e * Z))
+    field = _field_from_transform(spec, lambda xi: _box_transform(xi.T, k, e * Z))
     return IonDensityModel(spec, "box", Z, e, field, params=(k,))
 
 
@@ -163,7 +178,7 @@ def perturbed_box_density(
     if amplitude <= 0.0:
         raise InvalidDensityError("perturbation amplitude must be positive")
     field = _field_from_transform(
-        spec, lambda xi: _perturbed_box_transform(xi, k, amplitude, decay, e * Z)
+        spec, lambda xi: _perturbed_box_transform(xi.T, k, amplitude, decay, e * Z)
     )
     return IonDensityModel(spec, "perturbed_box", Z, e, field, params=(k, amplitude, decay))
 
@@ -232,7 +247,7 @@ def jellium_check(
         raise InvalidDensityError("jellium check needs positive total charge")
     spec = model.spec
     radius = spec.cutoff_radius if radius is None else float(radius)
-    if model.kind in ("box", "perturbed_box"):
+    if model.closed_form:
         m_max = int(np.floor(radius / TWO_PI + 1e-9))
         m = integer_box(-m_max, m_max + 1, spec.dimension)
         m = m[np.any(m != 0, axis=1)]
@@ -402,35 +417,49 @@ def wiener_matrix(
     |sigma_hat(xi)| <= C / |xi|^2 with C fitted on the outer half.
     """
     spec = model.spec
-    n = spec.cells_per_axis
+    d, n = spec.dimension, spec.cells_per_axis
     h0 = np.asarray(theta_h, dtype=int)
-    if h0.shape != (spec.dimension,):
-        raise FrequencyDomainError(f"theta index must have {spec.dimension} components")
+    if h0.shape != (d,):
+        raise FrequencyDomainError(f"theta index must have {d} components")
     if np.all(h0 % n == 0):
         raise FrequencyDomainError(
             f"theta = (2 pi / N) {tuple(h0)} lies on gamma*; Sigma is defined off it"
         )
-    if model.kind not in ("box", "perturbed_box"):
+    if not model.closed_form:
         # Sampled transforms exist only on the retained set; stay inside the
         # largest ball the per-axis alias clip keeps intact.
         clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
         truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
-    theta = spec.xi(h0)
+    # Sigma is 2 pi Z^d periodic: sum over the shifts of the dual-cell theta
+    theta = spec.xi(h0 % n)
     m_max = int(np.ceil((truncation_radius + np.linalg.norm(theta)) / TWO_PI)) + 1
-    shifts = integer_box(-m_max, m_max + 1, spec.dimension).astype(float)
-    xi = theta[None, :] + TWO_PI * shifts
-    r = np.sqrt((xi**2).sum(axis=1))
+    shifts = TWO_PI * np.arange(-m_max, m_max + 1)
+    # axis i of the product grid holds theta_i + 2 pi m_i
+    axes = [(t + shifts).reshape((-1,) + (1,) * (d - 1 - i)) for i, t in enumerate(theta)]
+    xi_sq = sum(a**2 for a in axes)
+    r = np.sqrt(xi_sq)
     keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
-    xi, r = xi[keep], r[keep]
-    amp2 = np.abs(model.sigma_tilde(xi)) ** 2
-    units = xi / r[:, None]
-    matrix = np.einsum("k,ki,kj->ij", amp2, units, units)
-    matrix = 0.5 * (matrix + matrix.T)
+    if model.closed_form:
+        amp2 = np.abs(model._transform(axes)) ** 2
+    else:
+        kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
+        amp2 = np.zeros(keep.shape)
+        amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
+    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w
+    w = np.divide(amp2, xi_sq, out=np.zeros(keep.shape), where=keep)
+    coords = [a.ravel() for a in axes]
+    matrix = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            marginal = w.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
+            matrix[i, j] = matrix[j, i] = (
+                coords[i] ** 2 @ marginal if i == j else coords[i] @ marginal @ coords[j]
+            )
 
-    if model.kind in ("box", "perturbed_box"):
+    if model.closed_form:
         tail = _spectral_tail_bound(model, truncation_radius)
     else:
-        outer = r > 0.5 * truncation_radius
+        outer = keep & (r > 0.5 * truncation_radius)
         if outer.any():
             c_decay = float((np.sqrt(amp2[outer]) * r[outer] ** 2).max())
         else:

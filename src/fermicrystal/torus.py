@@ -132,17 +132,34 @@ class FrequencyTable:
         self.zero = self.index[(0,) * d]
         self.gamma_star = np.all(h % n == 0, axis=1)
         self._grid_flat = np.ravel_multi_index((h % n_g).T, (n_g,) * d)
+        # grid slot -> table position; slots of no retained index keep -1,
+        # which ``positions`` rejects by comparing with the row of h it reads
+        self._grid_position = np.full(n_g**d, -1)
+        self._grid_position[self._grid_flat] = np.arange(self.size)
 
     def position(self, h) -> int:
         """Index of a frequency given its integer vector h."""
-        key = tuple(int(c) for c in np.atleast_1d(h))
-        try:
-            return self.index[key]
-        except KeyError:
+        return int(self.positions(np.atleast_1d(h)[None, :])[0])
+
+    def positions(self, h) -> np.ndarray:
+        """Indices of the frequencies with integer vectors h, an (m, d) array.
+
+        One gather through the grid slot h mod n_g; an index whose slot is
+        empty or holds a different retained alias raises, naming the first.
+        """
+        h = np.asarray(h, dtype=int)
+        d, n_g = self.spec.dimension, self.spec.grid_per_axis
+        if h.ndim != 2 or h.shape[1] != d:
+            raise DimensionMismatchError(f"frequency indices must have {d} components")
+        found = self._grid_position[np.ravel_multi_index((h % n_g).T, (n_g,) * d)]
+        missing = np.flatnonzero(np.any(self.h[found] != h, axis=1))
+        if missing.size:
+            key = tuple(int(c) for c in h[missing[0]])
             raise DimensionMismatchError(
                 f"frequency index {key} is not retained (cutoff "
                 f"{self.spec.cutoff_radius:.6g})"
-            ) from None
+            )
+        return found
 
 
 @lru_cache(maxsize=64)

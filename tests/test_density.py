@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermicrystal import (
+    DimensionMismatchError,
     FourierScalarField,
     FrequencyDomainError,
     InvalidDensityError,
@@ -20,6 +21,8 @@ from fermicrystal import (
     wiener_matrix,
     wiener_report,
 )
+from fermicrystal import density
+from fermicrystal.torus import dft_inverse, integer_box, lattice_points
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,6 +134,113 @@ def test_sigma_tilde_off_lattice_raises(spec1d):
         model.sigma_tilde(np.array([[0.1234]]))
 
 
+def _sampled(model):
+    """Grid-sampled copy of a closed-form density."""
+    return grid_density(model.spec, dft_inverse(model.field).real, model.Z, model.e)
+
+
+def test_sigma_tilde_beyond_cutoff_raises(spec1d):
+    model = _sampled(box_density(spec1d, 1))
+    n = spec1d.cells_per_axis
+    # h = n_g aliases the retained h = 0 on the grid, so it must not match
+    for h in (spec1d.grid_per_axis, -9, 40):
+        with pytest.raises(DimensionMismatchError, match=rf"\({h},\) is not retained"):
+            model.sigma_tilde(np.array([[0.0], [TWO_PI * h / n], [TWO_PI * 50 / n]]))
+
+
+def test_sigma_tilde_lookup_matches_loop():
+    spec = TorusSpec(3, 2, 8)
+    model = _sampled(perturbed_box_density(spec))
+    table = model.field.table
+    rng = np.random.default_rng(7)
+    h = table.h[rng.permutation(table.size)]
+    expected = np.array([model.field.values[table.index[tuple(row)]] for row in h.tolist()])
+    np.testing.assert_array_equal(model.sigma_tilde(spec.xi(h)), expected)
+
+
+def _enumerated_wiener_matrix(model, theta_h, truncation_radius=32.0 * TWO_PI):
+    """Sigma(theta) summed row by row over an enumerated box of shifts.
+
+    The reference for ``wiener_matrix``: one (K, d) array of frequencies,
+    sigma_hat per row, an einsum of the unit outer products.
+    """
+    spec = model.spec
+    n = spec.cells_per_axis
+    if not model.closed_form:
+        clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
+        truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
+    theta = spec.xi(np.asarray(theta_h, dtype=int))
+    m_max = int(np.ceil((truncation_radius + np.linalg.norm(theta)) / TWO_PI)) + 1
+    shifts = integer_box(-m_max, m_max + 1, spec.dimension).astype(float)
+    xi = theta[None, :] + TWO_PI * shifts
+    r = np.sqrt((xi**2).sum(axis=1))
+    keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
+    xi, r = xi[keep], r[keep]
+    amp2 = np.abs(model.sigma_tilde(xi)) ** 2
+    units = xi / r[:, None]
+    matrix = np.einsum("k,ki,kj->ij", amp2, units, units)
+    matrix = 0.5 * (matrix + matrix.T)
+    if model.closed_form:
+        return matrix, density._spectral_tail_bound(model, truncation_radius)
+    outer = r > 0.5 * truncation_radius
+    c_decay = float((np.sqrt(amp2[outer]) * r[outer] ** 2).max()) if outer.any() \
+        else float(abs(model.charge))
+    return matrix, c_decay**2 * density._lattice_ball_tail(truncation_radius, spec.dimension)
+
+
+WIENER_SPECS = {1: TorusSpec(1, 2, 16), 2: TorusSpec(2, 3, 12), 3: TorusSpec(3, 2, 8)}
+WIENER_MODELS = {
+    "box1": lambda spec: box_density(spec, 1),
+    "box2": lambda spec: box_density(spec, 2),
+    "perturbed": lambda spec: perturbed_box_density(spec),
+    "grid": lambda spec: _sampled(perturbed_box_density(spec)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(WIENER_SPECS))
+@pytest.mark.parametrize("kind", sorted(WIENER_MODELS))
+def test_wiener_series_matches_enumeration(d, kind, monkeypatch):
+    model = WIENER_MODELS[kind](WIENER_SPECS[d])
+    reference = {}
+    for h in map(tuple, lattice_points(model.spec)[1:].tolist()):
+        reference[h] = _enumerated_wiener_matrix(model, h)
+        matrix, tail = wiener_matrix(model, h)
+        expected, expected_tail = reference[h]
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert tail == expected_tail
+    fast = wiener_report(model)
+    monkeypatch.setattr(density, "wiener_matrix", lambda m, h, radius: reference[h])
+    slow = density.wiener_report(model)
+    assert [p.kernel_dim for p in fast.points] == [p.kernel_dim for p in slow.points]
+    assert fast.wiener_holds == slow.wiener_holds
+    assert fast.degeneracy_dim == slow.degeneracy_dim
+
+
+@pytest.mark.parametrize("kind", ["box2", "perturbed"])
+def test_wiener_series_outside_dual_cell(kind):
+    model = WIENER_MODELS[kind](WIENER_SPECS[2])
+    for h in [(7, -3), (-2, 5)]:
+        matrix, tail = wiener_matrix(model, h)
+        expected, expected_tail = _enumerated_wiener_matrix(model, h)
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert tail == expected_tail
+
+
+def test_wiener_d3_benchmark_reference():
+    # the smallest eigenvalue per dual-cell point of the analysis benchmark's
+    # d = 3 density, as its correctness gate pins them
+    reference = [
+        0.022854046480720442, 0.022854046480720605, 0.059122570619190636,
+        0.02285404648072069, 0.059122570619190365, 0.059122570619190455,
+        0.6008205881639774,
+    ]
+    model = perturbed_box_density(TorusSpec(3, 2, 8), k=2, amplitude=0.5, decay=2.0)
+    report = wiener_report(model)
+    assert report.wiener_holds
+    lowest = [float(p.eigenvalues[0]) for p in report.points]
+    np.testing.assert_allclose(lowest, reference, rtol=1e-9, atol=0.0)
+
+
 def test_wiener_matrix_domain(spec1d, sigma1d):
     with pytest.raises(FrequencyDomainError):
         wiener_matrix(sigma1d, (0,))
@@ -157,10 +267,11 @@ def test_wiener_scalar_value_d1(spec1d, sigma1d):
 
 
 def test_wiener_periodicity(spec1d, sigma1d):
-    # theta and theta + 2 pi N index the same dual point
+    # theta and theta + 2 pi N index the same dual point, which the series
+    # is summed from, so the matrices are equal
     m1, _ = wiener_matrix(sigma1d, (1,))
     m2, _ = wiener_matrix(sigma1d, (1 + 2 * spec1d.cells_per_axis,))
-    np.testing.assert_allclose(m1, m2, atol=1e-12)
+    np.testing.assert_array_equal(m1, m2)
 
 
 def test_wiener_report_d1_box_holds(spec1d, sigma1d):
