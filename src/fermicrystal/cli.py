@@ -83,12 +83,14 @@ class ArtifactWriter:
         return self._store(name, data)
 
     def write_csv(self, name: str, header, rows) -> str:
+        # one row template, from the first row's cell kinds: "%.17g" % cell
+        # is format(cell, ".17g"), a single % per row instead of one per cell
+        rows = list(rows)
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                cell if isinstance(cell, str) else format(cell, ".17g")
-                for cell in row
-            ))
+        if rows:
+            template = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                                for cell in rows[0])
+            lines.extend(template % tuple(row) for row in rows)
         data = ("\n".join(lines) + "\n").encode()
         return self._store(name, data)
 
@@ -212,6 +214,9 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter) -> int:
                      log.charge[i] - log.charge[0]))
     writer.write_csv("trajectory.csv",
                      ("t", "E", "Q", "energy_drift", "charge_drift"), rows)
+    # solver statistics over the steps; the t = 0 entry is not a step
+    iterations, residuals = log.iterations[1:], log.residual[1:]
+    taken = iterations.size > 0
     payload = {
         "method": dyn.method,
         "dt": dyn.dt,
@@ -220,6 +225,10 @@ def cmd_evolve(cfg: RunConfig, writer: ArtifactWriter) -> int:
         "max_energy_drift": log.max_energy_drift(),
         "max_charge_drift": log.max_charge_drift(),
         "final_energy": log.energy[-1],
+        "fp_iterations_min": int(iterations.min()) if taken else 0,
+        "fp_iterations_mean": float(iterations.mean()) if taken else 0.0,
+        "fp_iterations_max": int(iterations.max()) if taken else 0,
+        "max_residual": float(residuals.max()) if taken else 0.0,
     }
     writer.write_json("evolve_report.json", payload)
     return 0

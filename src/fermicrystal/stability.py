@@ -314,6 +314,15 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     and the xi = 0 weight zeroed, on top of the diagonal kinetic blocks
     2 E_kin (twice, real and imaginary parts) and 1/M on the momenta.
     R is the same map ``linearized_density`` applies to one Y.
+
+    The Coulomb product runs over the live columns of the weighted response
+    only: the ion displacements and the determinants one substitution away
+    from the ground state (168 of 2692 at d = 2, B = 1338).  Every other
+    column is exactly zero, so its row and column of the block are exact
+    zeros, and scattering the live block into a zeroed matrix keeps every
+    value and the zero pattern.  The one caveat is rounding: OpenBLAS picks
+    its kernels by the column count, so on small forms an entry may differ
+    from the all-columns product in the last bit (bit for bit at B = 1338).
     """
     basis = gs.basis
     block = gs.spec.n_ions * gs.spec.dimension
@@ -321,7 +330,10 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     # stacked; numpy hands A.T @ A to syrk, so the product is exactly symmetric
     response = _response_map(gs) * np.sqrt(_coulomb_weights(gs.spec))[:, None]
     stacked = np.concatenate([response.real, response.imag])
-    matrix = stacked.T @ stacked
+    live = np.flatnonzero(stacked.any(axis=0))
+    part = stacked[:, live]
+    matrix = np.zeros((stacked.shape[1],) * 2)
+    matrix[np.ix_(live, live)] = part.T @ part
 
     diagonal = np.concatenate([
         2.0 * basis.kinetic, 2.0 * basis.kinetic,

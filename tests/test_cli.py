@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fermicrystal import ConfigError
-from fermicrystal.cli import main
+from fermicrystal import ConfigError, evolve
+from fermicrystal.cli import ArtifactWriter, main
 from fermicrystal.config import (
     RunConfig,
     build_basis,
@@ -239,6 +239,60 @@ def test_cmd_evolve(tmp_path):
     assert len(rows) == 52  # header + 51 sampled states
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("duration", [None, "0"])
+def test_evolve_report_solver_statistics(tmp_path, monkeypatch, duration):
+    # the report's solver statistics are those of the evolve log over steps
+    # 1..n; a zero duration takes no step and reports zeros
+    if duration is not None:
+        monkeypatch.setenv("FERMICRYSTAL_DYNAMICS_DURATION", duration)
+    ini = write_ini(tmp_path)
+    code, out = run_cli(tmp_path, "--config", ini, "evolve")
+    assert code == 0
+    report = json.loads((out / "evolve_report.json").read_text())
+    cfg = load_config(ini)
+    gs, dyn = build_ground(cfg), cfg.dynamics
+    _, log = evolve(gs.state(), gs.sigma, dyn.dt, dyn.duration,
+                    method=dyn.method, fp_tol=dyn.fp_tol,
+                    max_iterations=dyn.max_iterations)
+    keys = ("fp_iterations_min", "fp_iterations_mean", "fp_iterations_max",
+            "max_residual")
+    if duration is None:
+        assert report["steps"] == len(log.t) - 1 == 50
+        iterations, residuals = log.iterations[1:], log.residual[1:]
+        expected = (int(iterations.min()), float(iterations.mean()),
+                    int(iterations.max()), float(residuals.max()))
+        assert 1 <= expected[0] <= expected[2] <= dyn.max_iterations
+    else:
+        assert report["steps"] == 0
+        expected = (0, 0.0, 0, 0.0)
+    assert tuple(report[key] for key in keys) == expected
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # one row template gives the bytes of formatting every cell on its own
+    header = ("label", "a", "b", "c", "d")
+    rows = [
+        ("zero", 0.1, np.float64(1.0 / 3.0), 7, float("nan")),
+        ("perturbation-0", -0.0, np.float64(1e-300), -12, 2.0**60),
+        ("translation-1", 1e-300, np.float64(-0.0), 0, float("inf")),
+        ("", 123456789.125, np.float64(np.nan), 2**70, -1e300),
+    ]
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            cell if isinstance(cell, str) else format(cell, ".17g")
+            for cell in row
+        ))
+    expected = ("\n".join(lines) + "\n").encode()
+    writer = ArtifactWriter(str(tmp_path), "evolve", load_config(None, environ={}), 0)
+    path = writer.write_csv("table.csv", header, iter(rows))
+    with open(path, "rb") as handle:
+        assert handle.read() == expected
+    empty = writer.write_csv("empty.csv", header, [])
+    with open(empty, "rb") as handle:
+        assert handle.read() == b"label,a,b,c,d\n"
 
 
 def test_cmd_stability_and_manifest(tmp_path):

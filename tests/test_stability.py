@@ -294,6 +294,72 @@ def test_split_spectrum_matches_dense(case, gs1d, basis2d, sigma2d_box,
         assert hessian_spectrum(form, "full").kernel_dim == 1
 
 
+def full_product_form(gs):
+    """Reference: the Coulomb block as the product over every column of S."""
+    response = stability._response_map(gs) \
+        * np.sqrt(stability._coulomb_weights(gs.spec))[:, None]
+    stacked = np.concatenate([response.real, response.imag])
+    block = gs.spec.n_ions * gs.spec.dimension
+    matrix = stacked.T @ stacked
+    matrix[np.diag_indices(matrix.shape[0])] += np.concatenate([
+        2.0 * gs.basis.kinetic, 2.0 * gs.basis.kinetic,
+        np.zeros(block), np.full(block, 1.0 / gs.mass),
+    ])
+    return matrix, stacked.any(axis=0)
+
+
+def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
+                                               sigma2d_perturbed):
+    # two minimal sets of d = 2, N = 4 that differ in two orbitals: the
+    # determinants one substitution from either one are live
+    spec = TorusSpec(2, 4, 16)
+    sets, omega0 = ground_occupations(spec)
+    first = sets[0]
+    other = next(s for s in sets if len(set(first) - set(s)) >= 2)
+    basis = enumerate_basis(spec, 2.0 * omega0 + 1e-9)
+    sigma = box_density(spec, 1)
+    mixture = build_ground_state(basis, sigma, choice={first: 1.0, other: 1.0})
+    _, single_live = full_product_form(build_ground_state(basis, sigma))
+    cases = [
+        gs1d,
+        build_ground_state(basis2d, sigma2d_box),
+        build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7),
+        mixture,
+    ]
+    for gs in cases:
+        reference, live = full_product_form(gs)
+        matrix = hessian_assemble(gs).matrix
+        assert matrix.shape == reference.shape
+        assert np.array_equal(matrix, matrix.T)
+        assert np.array_equal(matrix != 0, reference != 0)
+        # OpenBLAS picks its kernels by the column count, so the narrower
+        # product may round an entry differently (the 1-d case is exact)
+        np.testing.assert_allclose(matrix, reference, rtol=0.0,
+                                   atol=1e-14 * np.abs(reference).max())
+        if gs.spec.dimension == 2:
+            assert live.sum() < live.size  # the live-column product is used
+    _, mixture_live = full_product_form(mixture)
+    assert mixture_live.sum() > single_live.sum()
+
+
+def test_hessian_benchmark_reference():
+    # the analysis benchmark's form at r = 0, alpha = 0, with the values its
+    # correctness gate pins
+    spec = TorusSpec(2, 2, 12)
+    sigma = perturbed_box_density(spec, k=2, amplitude=0.5, decay=2.0)
+    gs = build_ground_state(enumerate_basis(spec, 10 * np.pi**2), sigma)
+    form = hessian_assemble(gs)
+    full = hessian_spectrum(form, "full")
+    constrained = hessian_spectrum(form, "constrained")
+    assert form.matrix.shape == (2692, 2692)
+    assert full.kernel_dim == 2
+    assert constrained.kernel_dim == 0
+    np.testing.assert_allclose(constrained.lambda_min, 0.021259754861973623,
+                               rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(full.eigenvalues[-1], 98.71634717049919,
+                               rtol=1e-9, atol=0.0)
+
+
 def test_kernel_dims_stable_under_tolerance(basis2d, sigma2d_box):
     gs = build_ground_state(basis2d, sigma2d_box)
     form = hessian_assemble(gs)
