@@ -30,6 +30,15 @@ factors (a product of box profiles, a sum of per-axis bumps, a product of
 envelopes), so Sigma(theta) is summed on a product grid from 1-d tables.
 Its entries sum_xi w(xi) xi_i xi_j, with w = |sigma_hat|^2 / |xi|^2, are
 then the one- and two-axis marginals of w against the 1-d coordinates.
+
+The closed-form kinds (box and perturbed box) are even in each axis on its
+own.  Where theta_i is 0 or pi (2 h_i = 0 mod N) the reflection
+xi_i -> -xi_i maps the shifts of that axis onto themselves, so the axis is
+folded: summed over xi_i >= 0 with weight 2 (weight 1 at xi_i = 0), and
+every off-diagonal entry on it is exactly 0.  At N = 2 every axis of every
+point is folded and the grid is about 1/2^d of the cube.  Sampled kinds
+(grid, fourier) are never folded: a sampled density need not be even per
+axis.
 """
 
 from __future__ import annotations
@@ -415,6 +424,13 @@ def wiener_matrix(
     densities get the rigorous per-axis tail bound; sampled kinds clamp the
     truncation to the retained cutoff and model the unknown continuation by
     |sigma_hat(xi)| <= C / |xi|^2 with C fitted on the outer half.
+
+    For closed-form kinds every axis with theta_i in {0, pi} is folded by
+    its reflection: only the shifts with xi_i >= 0 are summed, weighted 2
+    (1 at xi_i = 0), and the off-diagonal entries on that axis are written
+    as exact zeros.  The ball is symmetric, so this is the full sum up to
+    rounding, and the tail bound is unchanged.  Sampled kinds sum the
+    whole grid.
     """
     spec = model.spec
     d, n = spec.dimension, spec.cells_per_axis
@@ -431,11 +447,17 @@ def wiener_matrix(
         clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
         truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
     # Sigma is 2 pi Z^d periodic: sum over the shifts of the dual-cell theta
-    theta = spec.xi(h0 % n)
+    h = h0 % n
+    theta = spec.xi(h)
     m_max = int(np.ceil((truncation_radius + np.linalg.norm(theta)) / TWO_PI)) + 1
     shifts = TWO_PI * np.arange(-m_max, m_max + 1)
+    # an axis with theta_i in {0, pi} maps its shifts onto themselves under
+    # xi_i -> -xi_i, which keeps a closed-form sigma_hat, |xi| and the ball:
+    # sum it over xi_i >= 0 with weight 2 (1 at xi_i = 0)
+    folded = model.closed_form & (2 * h % n == 0)
     # axis i of the product grid holds theta_i + 2 pi m_i
-    axes = [(t + shifts).reshape((-1,) + (1,) * (d - 1 - i)) for i, t in enumerate(theta)]
+    axes = [(t + (shifts[m_max:] if fold else shifts)).reshape((-1,) + (1,) * (d - 1 - i))
+            for i, (t, fold) in enumerate(zip(theta, folded))]
     xi_sq = sum(a**2 for a in axes)
     r = np.sqrt(xi_sq)
     keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
@@ -445,12 +467,17 @@ def wiener_matrix(
         kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
         amp2 = np.zeros(keep.shape)
         amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
+    for a, fold in zip(axes, folded):
+        if fold:
+            amp2 *= np.where(a == 0.0, 1.0, 2.0)  # the mirror image of each xi_i > 0
     # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w
     w = np.divide(amp2, xi_sq, out=np.zeros(keep.shape), where=keep)
     coords = [a.ravel() for a in axes]
-    matrix = np.empty((d, d))
+    matrix = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
+            if i != j and (folded[i] or folded[j]):
+                continue  # xi_i xi_j is odd in the folded axis: the entry is 0
             marginal = w.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
             matrix[i, j] = matrix[j, i] = (
                 coords[i] ** 2 @ marginal if i == j else coords[i] @ marginal @ coords[j]

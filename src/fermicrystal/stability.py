@@ -30,8 +30,6 @@ what the long-time perturbation runs probe.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -598,6 +596,19 @@ def run_trajectory(
     return _run_rows(gs, [row], duration, dt, method, fp_tol, max_iterations)[0]
 
 
+def ProcessPoolExecutor(max_workers: int, mp_context: str):
+    """A ``concurrent.futures.ProcessPoolExecutor`` whose workers start by
+    the ``multiprocessing`` start method named ``mp_context``.
+
+    Only sweeps with ``workers`` above 1 need a pool, so both modules are
+    imported here and importing the package loads neither.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers, mp_context=multiprocessing.get_context(mp_context))
+
+
 @dataclass(eq=False)
 class StabilityResult:
     records: list
@@ -665,8 +676,7 @@ def stability_experiment(
     if pool_size > 1:
         # spawned, not forked: a forked child inherits the parent's threads'
         # locks, and each worker is handed everything it needs anyway
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=pool_size, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context="spawn") as pool:
             results = list(pool.map(runs, batches))
     else:
         results = map(runs, batches)

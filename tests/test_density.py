@@ -358,3 +358,72 @@ def test_wiener_psd_property(h1, h2):
     matrix, _ = wiener_matrix(model, h)
     assert np.allclose(matrix, matrix.T)
     assert np.linalg.eigvalsh(matrix).min() > -1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(WIENER_MODELS))
+def test_wiener_report_conjugate_pairs(kind):
+    # real sigma has Sigma(-theta) = Sigma(theta): the two points of a pair
+    # agree up to rounding and share their verdict
+    model = WIENER_MODELS[kind](WIENER_SPECS[2])
+    n = model.spec.cells_per_axis
+    report = wiener_report(model)
+    for p in report.points:
+        partner = report.point(tuple(int(c) for c in (-np.asarray(p.h)) % n))
+        assert np.abs(p.matrix - partner.matrix).max() <= 1e-12 * np.abs(p.matrix).max()
+        assert p.kernel_dim == partner.kernel_dim
+
+
+@pytest.mark.parametrize("kind", ["box1", "box2", "perturbed"])
+@pytest.mark.parametrize("spec, points", [
+    (TorusSpec(2, 4, 8), [(2, 1), (1, 2), (2, 0)]),
+    (TorusSpec(3, 4, 8), [(2, 1, 0)]),
+])
+def test_wiener_fold_mixed_axes(kind, spec, points):
+    # theta_i = pi or 0 (folded) beside theta_j = pi / 2 (summed in full)
+    model = WIENER_MODELS[kind](spec)
+    for h in points:
+        matrix, tail = wiener_matrix(model, h)
+        expected, expected_tail = _enumerated_wiener_matrix(model, h)
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert tail == expected_tail
+        folded = [i for i, c in enumerate(h) if 2 * c % spec.cells_per_axis == 0]
+        for i in folded:
+            for j in range(spec.dimension):
+                if j != i:
+                    assert matrix[i, j] == 0.0 and matrix[j, i] == 0.0
+
+
+@pytest.mark.parametrize("spec", [TorusSpec(2, 2, 16), TorusSpec(2, 3, 12)])
+def test_wiener_sampled_not_folded(spec):
+    # a Gaussian stretched along the diagonal: |sigma_hat|^2 has a xi_1 xi_2
+    # term, so it is not even in one axis alone (an off-centre box would
+    # be, as a translation only moves the phase), and folding a sampled
+    # density would show at every point.  At d = 1 |sigma_hat|^2 of any
+    # real sigma is even, so no d = 1 torus could tell
+    half = 0.5 * spec.cells_per_axis
+    x = (spec.grid_axes() + half) % spec.cells_per_axis - half
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    along, across = x1 + x2, x1 - x2
+    samples = np.exp(-along**2 / 0.5 - across**2 / 0.05)
+    samples /= samples.sum() * spec.grid_spacing**spec.dimension
+    model = grid_density(spec, samples, Z=1.0, e=1.0)
+    for h in map(tuple, lattice_points(spec)[1:].tolist()):
+        matrix, tail = wiener_matrix(model, h)
+        expected, expected_tail = _enumerated_wiener_matrix(model, h)
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert tail == expected_tail
+        assert abs(matrix[0, 1]) > 1e-3 * np.abs(matrix).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-400.0, 400.0), min_size=3, max_size=3),
+       st.sampled_from(["box1", "box2", "perturbed"]))
+def test_closed_form_transform_even_per_axis(xi, kind):
+    # the premise of the fold: xi_i -> -xi_i alone leaves sigma_hat unchanged
+    model = WIENER_MODELS[kind](TorusSpec(3, 2, 4))
+    xi = np.array(xi)
+    values = model._transform(list(xi))
+    for axis in range(3):
+        flipped = xi.copy()
+        flipped[axis] = -flipped[axis]
+        assert abs(model._transform(list(flipped)) - values) <= 1e-15 * abs(model.charge)

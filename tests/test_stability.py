@@ -659,6 +659,23 @@ def test_stability_experiment_pool_clamped(gs1d, monkeypatch):
 
 
 
+def test_import_defers_pool_modules():
+    # only a sweep with workers above 1 needs a pool, so a fresh import of
+    # the package and its CLI loads neither pool module
+    import os
+    import subprocess
+    import sys
+
+    import fermicrystal
+
+    code = ("import sys, fermicrystal.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fermicrystal.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_quadratic_form_symmetric_property(seed):
