@@ -16,10 +16,11 @@ Around S the energy expands to second order as
 with Y = (phi, kappa, pi) and rho1 the linearized charge density: the ion
 part carries i sigma_hat(xi) (xi . kappa_hat(xi)) exp(i xi r) and the
 electron part -e [P(xi) + conj(P(-xi))] with the transition amplitude
-P(xi) = <sum_j exp(i xi x_j) psi, phi>.  The form is assembled as an
-explicit symmetric matrix from the linear density map, and every entry can
-be cross-checked against central differences of the plain energy because
-both sides share one spectral truncation.
+P(xi) = <sum_j exp(i xi x_j) psi, phi>.  The form is assembled from the
+linear density map on the coordinates it reaches: a symmetric matrix whose
+Coulomb part couples only those coordinates, recorded with it, on top of a
+diagonal.  Every entry can be cross-checked against central differences of
+the plain energy because both sides share one spectral truncation.
 
 The kernel of the form on the full coordinate space is the translation
 block plus the flat ion space measured independently by the Wiener report;
@@ -238,40 +239,54 @@ class LinearizedDensity:
         return self.ion + self.electron
 
 
-def _response_map(gs: GroundState) -> np.ndarray:
-    """The linear density response Y -> rho1 as an (n_freq, n) matrix on packed Y.
+def _response_map(gs: GroundState) -> tuple:
+    """The linear density response Y -> rho1 on the packed coordinates it reaches.
+
+    Returns ``(columns, R)``: R is an (n_freq, len(columns)) matrix with
+    rho1 = R @ pack_tangent(Y)[columns].  The columns are the determinants
+    in the ground state's support or one substitution away from it, real
+    parts then imaginary parts, then the ion displacements; the momenta do
+    not enter, and every other column of the map is exactly zero.
 
     With A[xi, I] = <sum_j exp(i xi x_j) psi_alpha, D_I> the transition
     amplitude is P(xi) = A conj(C), so the electron part -e [P(xi) +
     conj(P(-xi))] takes Re C through -e (A + conj A(-xi)) and Im C through
     -e (-i A + i conj A(-xi)).  The column of site n and axis j is
     i sigma_hat(xi) xi_j exp(i xi (n + r)), the ion phases of the flow plan at
-    q = r; the momenta do not enter.
+    q = r.
     """
-    basis, spec = gs.basis, gs.spec
-    table = frequency_table(spec)
+    basis, table = gs.basis, frequency_table(gs.spec)
     plan = _FlowPlan(basis, gs.sigma)
     sub = plan.substitutions
     psi = gs.psi_alpha().values
-    amplitudes = np.zeros((table.size, basis.size), dtype=complex)
-    np.add.at(amplitudes, (sub.delta, sub.dst), psi[sub.src] * sub.sign)
-    amplitudes[table.zero, :] += basis.n_electrons * psi
+    # only substitutions out of the support add to A, and leaving out their
+    # exactly zero terms keeps every sum's bits
+    reach = psi != 0
+    hit = np.flatnonzero(reach[sub.src])
+    reach[sub.dst[hit]] = True
+    reached = np.flatnonzero(reach)
+    amplitudes = np.zeros((table.size, reached.size), dtype=complex)
+    np.add.at(amplitudes, (sub.delta[hit], np.searchsorted(reached, sub.dst[hit])),
+              psi[sub.src[hit]] * sub.sign[hit])
+    amplitudes[table.zero, :] += basis.n_electrons * psi[reached]
     mirrored = np.conj(amplitudes[table.conj, :])
     phases = plan.ion_phases(gs.r)  # q = r broadcast over the sites
     ions = plan.ixi[:, None, :] * plan.sigma_hat[:, None, None] * phases[:, :, None]
-    return np.concatenate([
+    # packed as (Re C, Im C, kappa, pi): the reached parts of C, every kappa
+    columns = np.flatnonzero(np.concatenate([reach, reach, np.ones(ions[0].size, bool)]))
+    return columns, np.concatenate([
         -gs.sigma.e * (amplitudes + mirrored),
         -gs.sigma.e * (-1j * amplitudes + 1j * mirrored),
         ions.reshape(table.size, -1),
-        np.zeros((table.size, spec.n_ions * spec.dimension)),
     ], axis=1)
 
 
 def linearized_density(gs: GroundState, y: TangentVector) -> LinearizedDensity:
-    """rho1 along Y: displaced-ion gradient term plus the transition term."""
-    response = _response_map(gs)
-    vector = pack_tangent(y)
-    b = 2 * gs.basis.size
+    """rho1 along Y: displaced-ion gradient term plus the transition term,
+    the response map applied to the coordinates of Y it reaches."""
+    columns, response = _response_map(gs)
+    vector = pack_tangent(y)[columns]
+    b = np.searchsorted(columns, 2 * gs.basis.size)  # the first ion column
     return LinearizedDensity(
         FourierScalarField(gs.spec, response[:, b:] @ vector[b:]),
         FourierScalarField(gs.spec, response[:, :b] @ vector[:b]),
@@ -293,16 +308,18 @@ def quadratic_form(gs: GroundState, y: TangentVector) -> float:
     return kinetic + coulomb + momentum
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class HessianForm:
-    """Symmetric matrix H with (1/2) <Y, E'' Y> = (1/2) y^T H y in packed coordinates."""
+    """Symmetric matrix H with (1/2) <Y, E'' Y> = (1/2) y^T H y in packed coordinates.
+
+    ``coupled`` lists, in increasing order, the coordinates the Coulomb part
+    reaches; every other row and column of ``matrix`` is zero off the
+    diagonal.
+    """
 
     gs: GroundState
     matrix: np.ndarray
-
-    def form(self, y: TangentVector) -> float:
-        v = pack_tangent(y)
-        return 0.5 * float(v @ self.matrix @ v)
+    coupled: np.ndarray
 
 
 def hessian_assemble(gs: GroundState) -> HessianForm:
@@ -313,32 +330,32 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     2 E_kin (twice, real and imaginary parts) and 1/M on the momenta.
     R is the same map ``linearized_density`` applies to one Y.
 
-    The Coulomb product runs over the live columns of the weighted response
-    only: the ion displacements and the determinants one substitution away
-    from the ground state (168 of 2692 at d = 2, B = 1338).  Every other
-    column is exactly zero, so its row and column of the block are exact
-    zeros, and scattering the live block into a zeroed matrix keeps every
-    value and the zero pattern.  The one caveat is rounding: OpenBLAS picks
-    its kernels by the column count, so on small forms an entry may differ
-    from the all-columns product in the last bit (bit for bit at B = 1338).
+    The coupled coordinates are the columns of the weighted map that are not
+    exactly zero, a subset of those the map reaches: the ion displacements
+    and the determinants one substitution away from the ground state (168 of
+    2692 at d = 2, B = 1338).  The Coulomb product runs over those only and
+    is scattered into a zeroed matrix; every other row and column of the
+    block is an exact zero, so the values and the zero pattern are those of
+    the all-columns product.  The one caveat is rounding: OpenBLAS picks its
+    kernels by the column count, so on small forms an entry may differ from
+    the all-columns product in the last bit (bit for bit at B = 1338).
     """
-    basis = gs.basis
     block = gs.spec.n_ions * gs.spec.dimension
     # Re(R^H W R) = S^T S with S the real and imaginary parts of sqrt(W) R
     # stacked; numpy hands A.T @ A to syrk, so the product is exactly symmetric
-    response = _response_map(gs) * np.sqrt(_coulomb_weights(gs.spec))[:, None]
+    columns, response = _response_map(gs)
+    response *= np.sqrt(_coulomb_weights(gs.spec))[:, None]
     stacked = np.concatenate([response.real, response.imag])
     live = np.flatnonzero(stacked.any(axis=0))
-    part = stacked[:, live]
-    matrix = np.zeros((stacked.shape[1],) * 2)
-    matrix[np.ix_(live, live)] = part.T @ part
-
+    part, coupled = stacked[:, live], columns[live]
     diagonal = np.concatenate([
-        2.0 * basis.kinetic, 2.0 * basis.kinetic,
+        2.0 * gs.basis.kinetic, 2.0 * gs.basis.kinetic,
         np.zeros(block), np.full(block, 1.0 / gs.mass),
     ])
-    matrix[np.diag_indices(matrix.shape[0])] += diagonal
-    return HessianForm(gs, matrix)
+    matrix = np.zeros((diagonal.size,) * 2)
+    matrix[np.ix_(coupled, coupled)] = part.T @ part
+    matrix[np.diag_indices(diagonal.size)] += diagonal
+    return HessianForm(gs, matrix, coupled)
 
 
 @dataclass(eq=False)
@@ -361,38 +378,32 @@ def hessian_spectrum(
     form is positive definite exactly when no flat ion space exists.
     Eigenvalues with |lambda| <= kernel_rtol * max |lambda| count as kernel.
 
-    Only the coupled block is diagonalised.  The Coulomb part couples just
-    the ion displacements and the determinants one substitution away from
-    the ground state, so the other rows of an assembled form are exactly
-    diagonal.  A coordinate is coupled when its row has a nonzero
-    off-diagonal entry or, for the constrained subspace, when one of the
-    removed directions is nonzero there.  Listing the coupled coordinates
-    first makes the matrix block diagonal with a diagonal second block,
-    and the constrained subspace is the complement of the removed span
-    inside the coupled coordinates plus every uncoupled one.  The spectrum
-    is therefore the uncoupled diagonal entries together with the
-    eigenvalues of the (projected) coupled block: a permutation similarity,
-    exact rather than approximate, and a dense matrix simply has every
-    coordinate coupled.
+    Only the coupled block is diagonalised: the coordinates of
+    ``form.coupled`` and, for the constrained subspace, every coordinate
+    where one of the removed directions is nonzero.  Listing those first
+    makes the matrix block diagonal with a diagonal second block, and the
+    constrained subspace is the complement of the removed span inside the
+    coupled coordinates plus every uncoupled one.  The spectrum is
+    therefore the uncoupled diagonal entries together with the eigenvalues
+    of the (projected) coupled block: a permutation similarity, exact
+    rather than approximate.
     """
-    matrix = form.matrix
-    diagonal = np.diagonal(matrix)
-    coupled = np.count_nonzero(matrix, axis=1) > (diagonal != 0)
+    index = form.coupled
     if subspace == "constrained":
         spanned = _removed_directions(form.gs)
-        coupled |= (spanned != 0).any(axis=0)
-        index = np.flatnonzero(coupled)
+        widened = spanned.any(axis=0)
+        widened[index] = True
+        index = np.flatnonzero(widened)
         _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
         rank = int((singular > 1e-12 * singular[0]).sum())
         complement = vh[rank:]
-        block = complement @ matrix[np.ix_(index, index)] @ complement.T
+        block = complement @ form.matrix[np.ix_(index, index)] @ complement.T
     elif subspace == "full":
-        index = np.flatnonzero(coupled)
-        block = matrix[np.ix_(index, index)]
+        block = form.matrix[np.ix_(index, index)]
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     eigenvalues = np.sort(np.concatenate([
-        diagonal[~coupled], np.linalg.eigvalsh(block)
+        np.delete(np.diagonal(form.matrix), index), np.linalg.eigvalsh(block)
     ]))
     scale = float(np.abs(eigenvalues).max(initial=0.0))
     tolerance = kernel_rtol * max(scale, 1e-300)

@@ -255,7 +255,7 @@ def random_form(gs, seed, decoupled=(), zero_diagonal=()):
         matrix[i, i] = diagonal
     for i in zero_diagonal:
         matrix[i, i] = 0.0
-    return HessianForm(gs, matrix)
+    return HessianForm(gs, matrix, np.setdiff1d(np.arange(n), decoupled))
 
 
 @pytest.mark.parametrize("case", [
@@ -296,10 +296,12 @@ def test_split_spectrum_matches_dense(case, gs1d, basis2d, sigma2d_box,
 
 def full_product_form(gs):
     """Reference: the Coulomb block as the product over every column of S."""
-    response = stability._response_map(gs) \
-        * np.sqrt(stability._coulomb_weights(gs.spec))[:, None]
-    stacked = np.concatenate([response.real, response.imag])
     block = gs.spec.n_ions * gs.spec.dimension
+    columns, narrow = stability._response_map(gs)
+    response = np.zeros((len(narrow), 2 * gs.basis.size + 2 * block), dtype=complex)
+    response[:, columns] = narrow
+    response *= np.sqrt(stability._coulomb_weights(gs.spec))[:, None]
+    stacked = np.concatenate([response.real, response.imag])
     matrix = stacked.T @ stacked
     matrix[np.diag_indices(matrix.shape[0])] += np.concatenate([
         2.0 * gs.basis.kinetic, 2.0 * gs.basis.kinetic,
@@ -308,18 +310,24 @@ def full_product_form(gs):
     return matrix, stacked.any(axis=0)
 
 
-def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
-                                               sigma2d_perturbed):
-    # two minimal sets of d = 2, N = 4 that differ in two orbitals: the
-    # determinants one substitution from either one are live
+def mixture_ground_states():
+    """The single-set ground state of d = 2, N = 4 and a mixture of two of its
+    minimal sets that differ in two orbitals: the determinants one
+    substitution from either set are live."""
     spec = TorusSpec(2, 4, 16)
     sets, omega0 = ground_occupations(spec)
     first = sets[0]
     other = next(s for s in sets if len(set(first) - set(s)) >= 2)
     basis = enumerate_basis(spec, 2.0 * omega0 + 1e-9)
     sigma = box_density(spec, 1)
-    mixture = build_ground_state(basis, sigma, choice={first: 1.0, other: 1.0})
-    _, single_live = full_product_form(build_ground_state(basis, sigma))
+    return (build_ground_state(basis, sigma),
+            build_ground_state(basis, sigma, choice={first: 1.0, other: 1.0}))
+
+
+def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
+                                               sigma2d_perturbed):
+    single, mixture = mixture_ground_states()
+    _, single_live = full_product_form(single)
     cases = [
         gs1d,
         build_ground_state(basis2d, sigma2d_box),
@@ -328,8 +336,11 @@ def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
     ]
     for gs in cases:
         reference, live = full_product_form(gs)
-        matrix = hessian_assemble(gs).matrix
+        form = hessian_assemble(gs)
+        matrix = form.matrix
         assert matrix.shape == reference.shape
+        off_diagonal = reference - np.diag(np.diagonal(reference))
+        assert np.array_equal(form.coupled, np.flatnonzero(off_diagonal.any(axis=1)))
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(matrix != 0, reference != 0)
         # OpenBLAS picks its kernels by the column count, so the narrower
@@ -340,6 +351,49 @@ def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
             assert live.sum() < live.size  # the live-column product is used
     _, mixture_live = full_product_form(mixture)
     assert mixture_live.sum() > single_live.sum()
+
+
+def rescan_spectrum(form, subspace, kernel_rtol=1e-9):
+    """Reference: the split spectrum with the coupled coordinates found by
+    rescanning the matrix, a row being coupled when it has a nonzero
+    off-diagonal entry."""
+    matrix = form.matrix
+    diagonal = np.diagonal(matrix)
+    coupled = np.count_nonzero(matrix, axis=1) > (diagonal != 0)
+    if subspace == "constrained":
+        spanned = removed_directions(form.gs)
+        coupled |= (spanned != 0).any(axis=0)
+        index = np.flatnonzero(coupled)
+        _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
+        rank = int((singular > 1e-12 * singular[0]).sum())
+        complement = vh[rank:]
+        block = complement @ matrix[np.ix_(index, index)] @ complement.T
+    else:
+        index = np.flatnonzero(coupled)
+        block = matrix[np.ix_(index, index)]
+    eigenvalues = np.sort(np.concatenate([
+        diagonal[~coupled], np.linalg.eigvalsh(block)
+    ]))
+    tolerance = kernel_rtol * max(float(np.abs(eigenvalues).max(initial=0.0)), 1e-300)
+    return eigenvalues, int((np.abs(eigenvalues) <= tolerance).sum())
+
+
+def test_spectrum_matches_rescan(gs1d, basis2d, sigma2d_box, sigma2d_perturbed):
+    # the assembled coupled index gives the bits of the rescanned spectrum
+    cases = [
+        gs1d,
+        build_ground_state(basis2d, sigma2d_box),
+        build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7),
+        mixture_ground_states()[1],
+    ]
+    for gs in cases:
+        form = hessian_assemble(gs)
+        for subspace in ("full", "constrained"):
+            spectrum = hessian_spectrum(form, subspace)
+            eigenvalues, kernel_dim = rescan_spectrum(form, subspace)
+            assert np.array_equal(spectrum.eigenvalues, eigenvalues)
+            assert spectrum.kernel_dim == kernel_dim
+            assert spectrum.lambda_min == eigenvalues.min()
 
 
 def test_hessian_benchmark_reference():
