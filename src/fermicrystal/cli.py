@@ -139,7 +139,7 @@ def cmd_density(cfg: RunConfig, writer: ArtifactWriter) -> int:
         "charge": model.Z,
         "coupling": model.e,
         "jellium_passes": bool(verdict.passes),
-        "jellium_worst_h": list(map(int, verdict.worst_h)),
+        "jellium_worst_h": verdict.worst_h,  # a tuple of ints, or None
         "jellium_worst_value": verdict.worst_value,
         "jellium_tolerance": verdict.tolerance,
         "uniform_lattice_residual": uniform_residual,
@@ -313,6 +313,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = load_config(args.config)
         writer = ArtifactWriter(args.out, args.command, cfg, args.seed)
         if args.command == "density":

@@ -169,13 +169,11 @@ def validate_config(cfg: RunConfig) -> None:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigError(f"[{name}] {key} must be finite, got {value!r}")
+    try:  # the torus rules are TorusSpec's
+        build_spec(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
     m = cfg.model
-    if not 1 <= m.dimension <= 3:
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {m.dimension}")
-    if m.cells_per_axis < 1:
-        raise ConfigError("cells_per_axis must be at least 1")
-    if m.grid_per_axis < 1 or m.grid_per_axis % m.cells_per_axis:
-        raise ConfigError("grid_per_axis must be a positive multiple of cells_per_axis")
     if m.kind not in ("box", "perturbed_box", "file"):
         raise ConfigError(f"unknown model kind {m.kind!r}")
     if m.kind == "file" and not m.density_file:

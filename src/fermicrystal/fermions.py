@@ -139,9 +139,7 @@ def enumerate_basis(
                                 * spec.cells_per_axis / (2.0 * np.pi) + 1e-9)))
     orbitals, values = _orbital_values_in_box(spec, h_max)
     keep = values <= m - floor_rest + 1e-12
-    pool = sorted(
-        ((v, o) for v, o in zip(values[keep], [o for o, k in zip(orbitals, keep) if k])),
-    )
+    pool = sorted((v, o) for v, o, k in zip(values, orbitals, keep) if k)
     pool_values = np.array([v for v, _ in pool])
     pool_orbitals = [o for _, o in pool]
 
@@ -182,20 +180,15 @@ class SubstitutionTable:
 
     def __init__(self, basis: "DeterminantBasis"):
         table = frequency_table(basis.spec)
-        sets = basis.sets
-        src, dst, sign, delta = [], [], [], []
-        for i, a, j, b in _one_apart(sets):
-            k, k_new = sets[i][a], sets[j][b]
-            step = table.index.get(tuple(x - y for x, y in zip(k_new, k)))
-            if step is not None:
-                src.append(i)
-                dst.append(j)
-                sign.append(-1.0 if (a - b) % 2 else 1.0)
-                delta.append(step)
-        self.src = np.array(src, dtype=np.intp)
-        self.dst = np.array(dst, dtype=np.intp)
-        self.sign = np.array(sign)
-        self.delta = np.array(delta, dtype=np.intp)
+        # flat items: fromiter reads 4-tuple items about twice as slowly
+        pairs = itertools.chain.from_iterable(_one_apart(basis.sets))
+        i, a, j, b = np.fromiter(pairs, dtype=np.intp).reshape(-1, 4).T
+        step = basis.orbitals[j, b] - basis.orbitals[i, a]
+        position, retained = table.lookup(step)
+        self.src = i[retained]
+        self.dst = j[retained]
+        self.sign = np.where((a - b)[retained] % 2, -1.0, 1.0)
+        self.delta = position[retained]
         self.neg_delta = table.conj[self.delta]
         self.n_freq = table.size
         self.zero = table.zero
@@ -245,16 +238,19 @@ class SubstitutionTable:
 
 
 class DeterminantBasis:
-    """Galerkin family of occupation sets under a total |xi|^2 cutoff."""
+    """Galerkin family of occupation sets under a total |xi|^2 cutoff;
+    ``orbitals`` is the (B, N_bar, d) integer array of the sets' orbitals."""
 
     def __init__(self, spec: TorusSpec, cutoff: float, sets: list):
         self.spec = spec
         self.cutoff = float(cutoff)
         self.sets = list(sets)
         self.index = {occ: i for i, occ in enumerate(self.sets)}
-        self.ksq_total = np.array(
-            [2.0 * occupation_kinetic(spec, occ) for occ in self.sets]
-        )
+        self.orbitals = np.array(self.sets, dtype=int).reshape(
+            self.size, spec.n_ions, spec.dimension)
+        # slot by slot, the bits of a per-set running sum
+        ksq = (spec.xi(self.orbitals) ** 2).sum(axis=-1)
+        self.ksq_total = np.add.accumulate(ksq, axis=1)[:, -1]
         self.kinetic = self.ksq_total / 2.0
         self._substitutions = None
 

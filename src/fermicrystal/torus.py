@@ -65,8 +65,8 @@ class TorusSpec:
             raise ValueError("cells_per_axis must be positive")
         if n_g < 2 or n_g % n != 0:
             raise ValueError(
-                f"grid_per_axis must be a positive multiple of cells_per_axis, "
-                f"got n_g = {n_g}, N = {n}"
+                f"grid_per_axis must be a multiple of cells_per_axis and at "
+                f"least 2, got n_g = {n_g}, N = {n}"
             )
         if self.cutoff_radius <= 0.0:
             object.__setattr__(self, "cutoff_radius", TWO_PI * n_g / (2 * n))
@@ -127,34 +127,36 @@ class FrequencyTable:
         nonzero = np.any(h != 0, axis=1)
         self.coulomb_weight = np.zeros(self.size)
         self.coulomb_weight[nonzero] = 1.0 / self.xi_sq[nonzero]
-        self.index = {tuple(row): i for i, row in enumerate(h.tolist())}
-        self.conj = np.array([self.index[tuple((-row).tolist())] for row in h])
-        self.zero = self.index[(0,) * d]
         self.gamma_star = np.all(h % n == 0, axis=1)
         self._grid_flat = np.ravel_multi_index((h % n_g).T, (n_g,) * d)
         # grid slot -> table position; slots of no retained index keep -1,
-        # which ``positions`` rejects by comparing with the row of h it reads
+        # which ``lookup`` rejects by comparing with the row of h it reads
         self._grid_position = np.full(n_g**d, -1)
         self._grid_position[self._grid_flat] = np.arange(self.size)
+        self.conj = self.positions(-h)
+        self.zero = self.position((0,) * d)
+
+    def lookup(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the integer vectors h, an (m, d) array, and the mask
+        of the retained ones: the one gather through the grid slot h mod n_g.
+        A slot that is empty or holds another alias is masked out."""
+        h = np.asarray(h, dtype=int)
+        d, n_g = self.spec.dimension, self.spec.grid_per_axis
+        if h.ndim != 2 or h.shape[1] != d:
+            raise DimensionMismatchError(f"frequency indices must have {d} components")
+        found = self._grid_position[np.ravel_multi_index((h % n_g).T, (n_g,) * d)]
+        return found, np.all(self.h[found] == h, axis=1)
 
     def position(self, h) -> int:
         """Index of a frequency given its integer vector h."""
         return int(self.positions(np.atleast_1d(h)[None, :])[0])
 
     def positions(self, h) -> np.ndarray:
-        """Indices of the frequencies with integer vectors h, an (m, d) array.
-
-        One gather through the grid slot h mod n_g; an index whose slot is
-        empty or holds a different retained alias raises, naming the first.
-        """
-        h = np.asarray(h, dtype=int)
-        d, n_g = self.spec.dimension, self.spec.grid_per_axis
-        if h.ndim != 2 or h.shape[1] != d:
-            raise DimensionMismatchError(f"frequency indices must have {d} components")
-        found = self._grid_position[np.ravel_multi_index((h % n_g).T, (n_g,) * d)]
-        missing = np.flatnonzero(np.any(self.h[found] != h, axis=1))
+        """``lookup``'s positions; an index not retained raises, naming the first."""
+        found, retained = self.lookup(h)
+        missing = np.flatnonzero(~retained)
         if missing.size:
-            key = tuple(int(c) for c in h[missing[0]])
+            key = tuple(int(c) for c in np.asarray(h)[missing[0]])
             raise DimensionMismatchError(
                 f"frequency index {key} is not retained (cutoff "
                 f"{self.spec.cutoff_radius:.6g})"

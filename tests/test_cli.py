@@ -142,6 +142,15 @@ def test_validate_config_failures(patch):
         validate_config(cfg)
 
 
+def test_validate_config_torus_rules():
+    # the torus rules are TorusSpec's: one cell still needs two grid points
+    cfg = load_config(None, environ={})
+    cfg.model.cells_per_axis = 1
+    cfg.model.grid_per_axis = 1
+    with pytest.raises(ConfigError, match="grid_per_axis"):
+        validate_config(cfg)
+
+
 def test_perturbed_box_validation():
     cfg = load_config(None, environ={})
     cfg.model.kind = "perturbed_box"
@@ -202,6 +211,16 @@ def test_cmd_density(tmp_path):
     assert report["wiener_holds"] is True
     assert report["degeneracy_dim"] == 0
     assert all(point["kernel_dim"] == 0 for point in report["points"])
+
+
+def test_cmd_density_without_jellium_points(tmp_path, monkeypatch):
+    # a cutoff below 2 pi retains no nonzero reciprocal vector to scan
+    monkeypatch.setenv("FERMICRYSTAL_MODEL_CUTOFF_RADIUS", "0.5")
+    code, out = run_cli(tmp_path, "--config", write_ini(tmp_path), "density")
+    assert code == 0
+    report = json.loads((out / "density_report.json").read_text())
+    assert report["jellium_passes"] is True
+    assert report["jellium_worst_h"] is None
 
 
 def test_cmd_ground_state(tmp_path):
@@ -345,6 +364,26 @@ def test_exit_code_workers(tmp_path, capsys, workers):
     assert code == 1
     err = capsys.readouterr().err
     assert "--workers" in err and len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_negative_seed(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "--config", write_ini(tmp_path),
+                      "--seed", "-1", "stability")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_exit_code_torus_rules(tmp_path, capsys):
+    path = tmp_path / "one_cell.ini"
+    path.write_text(BASE_INI.format(budget=0)
+                    .replace("cells_per_axis = 2", "cells_per_axis = 1")
+                    .replace("grid_per_axis = 16", "grid_per_axis = 1"))
+    code, _ = run_cli(tmp_path, "--config", str(path), "density")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "grid_per_axis" in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, raw, command", [

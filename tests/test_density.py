@@ -68,8 +68,8 @@ def test_jellium_failure_reports_offender(spec1d):
     table = frequency_table(spec1d)
     field = box_density(spec1d, 1).field.copy()
     n = spec1d.cells_per_axis
-    field.values[table.index[(n,)]] += 0.05
-    field.values[table.index[(-n,)]] += 0.05
+    field.values[table.position((n,))] += 0.05
+    field.values[table.position((-n,))] += 0.05
     model = fourier_density(spec1d, field, Z=1.0, e=1.0)
     verdict = jellium_check(model)
     assert not verdict.passes
@@ -154,7 +154,7 @@ def test_sigma_tilde_lookup_matches_loop():
     table = model.field.table
     rng = np.random.default_rng(7)
     h = table.h[rng.permutation(table.size)]
-    expected = np.array([model.field.values[table.index[tuple(row)]] for row in h.tolist()])
+    expected = np.array([model.field.values[table.position(row)] for row in h.tolist()])
     np.testing.assert_array_equal(model.sigma_tilde(spec.xi(h)), expected)
 
 

@@ -130,14 +130,23 @@ def test_enumerate_basis_sorted_and_indexed(basis1d):
     for i, occ in enumerate(basis1d.sets):
         assert basis1d.index[occ] == i
         assert occ in basis1d
-    kinetic = np.array([occupation_kinetic(basis1d.spec, occ) for occ in basis1d.sets])
-    np.testing.assert_allclose(basis1d.kinetic, kinetic)
+    _assert_kinetic_matches_sets(basis1d)
+
+
+def _assert_kinetic_matches_sets(basis):
+    # the per-set sums over occupation_kinetic, bit for bit
+    kinetic = np.array([occupation_kinetic(basis.spec, occ) for occ in basis.sets])
+    assert np.array_equal(basis.kinetic, kinetic)
+    assert np.array_equal(basis.ksq_total, 2.0 * kinetic)
+    assert basis.orbitals.shape == (basis.size, basis.n_electrons, basis.spec.dimension)
+    assert basis.orbitals.tolist() == [list(map(list, occ)) for occ in basis.sets]
 
 
 def _scanned_table(basis):
     # the table as a scan over every pool orbital in every slot of every
     # determinant, kept as the reference for the build from shared holes
     table = frequency_table(basis.spec)
+    index = {tuple(row): i for i, row in enumerate(table.h.tolist())}
     pool = sorted({orbital for occ in basis.sets for orbital in occ})
     src, dst, sign, delta, neg_delta = [], [], [], [], []
     for i, occupation in enumerate(basis.sets):
@@ -147,7 +156,7 @@ def _scanned_table(basis):
                 if k_new in occupied:
                     continue
                 step = tuple(x - y for x, y in zip(k_new, k))
-                if step not in table.index:
+                if step not in index:
                     continue
                 target = tuple(sorted(occupied - {k} | {k_new}))
                 j = basis.index.get(target)
@@ -157,8 +166,8 @@ def _scanned_table(basis):
                 src.append(i)
                 dst.append(j)
                 sign.append(-1.0 if (a - b) % 2 else 1.0)
-                delta.append(table.index[step])
-                neg_delta.append(table.index[tuple(-s for s in step)])
+                delta.append(index[step])
+                neg_delta.append(index[tuple(-s for s in step)])
     return {
         "src": np.array(src, dtype=np.intp), "dst": np.array(dst, dtype=np.intp),
         "sign": np.array(sign), "delta": np.array(delta, dtype=np.intp),
@@ -171,10 +180,13 @@ def _scanned_table(basis):
     ((1, 2, 16), 8.0, 10),
     ((2, 2, 12), 8.0, 558),
     ((2, 2, 12), 11.0, 2002),
-], ids=["empty", "B10", "B558", "B2002"])
+    # d = 3, 8 slots; the grid's |h_j| <= 2 clip drops some steps
+    ((3, 2, 6), 9.0, 416),
+], ids=["empty", "B10", "B558", "B2002", "d3-B416"])
 def test_substitution_table_matches_scan(geometry, budget, size):
     basis = enumerate_basis(TorusSpec(*geometry), budget * np.pi**2)
     assert basis.size == size
+    _assert_kinetic_matches_sets(basis)
     table = SubstitutionTable(basis)
     for name, expected in _scanned_table(basis).items():
         array = getattr(table, name)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermicrystal import (
+    DimensionMismatchError,
     FourierScalarField,
     NeutralityError,
     TorusSpec,
@@ -14,6 +15,7 @@ from fermicrystal import (
     green_apply,
     lattice_points,
 )
+from fermicrystal.torus import integer_box
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +56,28 @@ def test_frequency_table_structure(spec1d):
     assert np.array_equal(table.gamma_star, table.h[:, 0] % 2 == 0)
     # lexicographic order
     assert np.array_equal(table.h, table.h[np.lexsort(table.h.T[::-1])])
+
+
+@pytest.mark.parametrize("geometry, cutoff", [
+    ((1, 2, 8), 1e6),  # clipped to |h| <= 3 by the grid
+    ((2, 2, 12), 0.0),
+    ((3, 2, 6), 0.0),  # the ball |h| <= 3 clipped to |h_j| <= 2
+])
+def test_frequency_table_lookup(geometry, cutoff):
+    # the grid-slot gather against a dict over the retained rows, on a box
+    # reaching past the grid so that empty slots and aliases are probed
+    spec = TorusSpec(*geometry, cutoff_radius=cutoff)
+    table = frequency_table(spec)
+    index = {tuple(row): i for i, row in enumerate(table.h.tolist())}
+    h = integer_box(-spec.grid_per_axis, spec.grid_per_axis + 1, spec.dimension)
+    found, retained = table.lookup(h)
+    expected = [index.get(tuple(row)) for row in h.tolist()]
+    assert retained.tolist() == [i is not None for i in expected]
+    assert found[retained].tolist() == [i for i in expected if i is not None]
+    assert table.conj.tolist() == [index[tuple(-row)] for row in table.h]
+    assert table.zero == index[(0,) * spec.dimension]
+    with pytest.raises(DimensionMismatchError, match="not retained"):
+        table.positions(h)
 
 
 def test_round_trip_band_limited(spec1d):
@@ -120,8 +144,8 @@ def test_green_solves_poisson(spec1d):
     table = frequency_table(spec1d)
     rho = FourierScalarField.zeros(spec1d)
     amp = spec1d.volume / 2.0
-    rho.values[table.index[(1,)]] = amp
-    rho.values[table.index[(-1,)]] = amp
+    rho.values[table.position((1,))] = amp
+    rho.values[table.position((-1,))] = amp
     phi = green_apply(rho)
     assert phi.coefficient((1,)) == pytest.approx(amp / np.pi**2)
     grid_rho = dft_inverse(rho).real
@@ -160,8 +184,8 @@ def test_green_self_adjoint_positive(spec1d):
 def test_coulomb_energy_formula(spec1d):
     table = frequency_table(spec1d)
     rho = FourierScalarField.zeros(spec1d)
-    rho.values[table.index[(1,)]] = 2.0
-    rho.values[table.index[(-1,)]] = 2.0
+    rho.values[table.position((1,))] = 2.0
+    rho.values[table.position((-1,))] = 2.0
     expected = (4.0 / np.pi**2 + 4.0 / np.pi**2) / (2.0 * spec1d.volume)
     assert coulomb_energy(rho) == pytest.approx(expected)
 
