@@ -246,9 +246,10 @@ def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
     rows = []
     summary_rows = []
     for record in result.records:
-        for i in _strided(len(record.t), cfg.output.stride):
-            rows.append((record.label, record.delta, record.t[i],
-                         record.distance[i], record.energy[i], record.charge[i]))
+        picks = _strided(len(record.t), cfg.output.stride)
+        columns = (record.t[picks].tolist(), record.distance[picks].tolist(),
+                   record.energy[picks].tolist(), record.charge[picks].tolist())
+        rows.extend((record.label, record.delta) + cells for cells in zip(*columns))
         summary_rows.append({
             "label": record.label,
             "delta": record.delta,

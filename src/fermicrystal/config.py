@@ -190,6 +190,10 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("perturbed_box requires an even profile_exponent >= 2")
         if m.amplitude <= 0:
             raise ConfigError("perturbed_box requires amplitude > 0")
+        if 4 * m.decay <= 1:
+            raise ConfigError(
+                f"perturbed_box requires decay > 1/4 (4 * decay > 1 bounds its "
+                f"spectral tail), got {m.decay}")
     if m.charge * m.coupling <= 0:
         raise ConfigError("charge * coupling must be positive")
     if m.cutoff_radius < 0:

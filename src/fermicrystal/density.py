@@ -180,12 +180,18 @@ def perturbed_box_density(
 
     For even k the box transform is nonnegative everywhere, so the sum with
     the strictly positive bump cannot vanish off gamma*: the genericity that
-    the positivity of Sigma(theta) needs holds by construction.
+    the positivity of Sigma(theta) needs holds by construction.  The bump's
+    squared envelope decays as |xi_i|^{-4 decay} per axis, and the Wiener
+    scan's tail bound sums it, so decay must exceed 1/4.
     """
     if k % 2 != 0:
         raise InvalidDensityError("perturbed box requires even k so the sum stays nonnegative")
     if amplitude <= 0.0:
         raise InvalidDensityError("perturbation amplitude must be positive")
+    if not 4.0 * decay > 1.0:  # nan fails it too
+        raise InvalidDensityError(
+            f"perturbed box requires decay > 1/4 (4 * decay > 1 bounds its "
+            f"spectral tail), got {decay}")
     field = _field_from_transform(
         spec, lambda xi: _perturbed_box_transform(xi.T, k, amplitude, decay, e * Z)
     )

@@ -48,8 +48,9 @@ with the bits of a single row, and the stage solve stops and freezes each
 row by its own rule.  One call thus advances a whole stability sweep with
 one set of numpy calls per step instead of one per trajectory, which is
 what sets the cost at the small bases of a sweep.  The observer still
-sees one ``CrystalState`` per row, and the log keeps one energy and charge
-per row, but one residual and iteration count per step.
+sees one ``CrystalState`` per row, a copy wrapped without re-running the
+constructors' checks that the batch passed on entry, and the log keeps one
+energy and charge per row, but one residual and iteration count per step.
 """
 
 from __future__ import annotations
@@ -120,6 +121,24 @@ class CrystalState:
         )
 
 
+def _row_state(basis, c: np.ndarray, q: np.ndarray, p: np.ndarray,
+               mass: float) -> CrystalState:
+    """One row of ``evolve``'s arrays as a state, its arrays taken as they are.
+
+    ``evolve`` checked the batch on entry (one basis, one positive mass,
+    c complex of the basis size, q and p float of the lattice shape) and its
+    steps keep those shapes and dtypes, so the constructors' checks are not
+    run again.
+    """
+    psi = object.__new__(CIVector)
+    psi.basis, psi.values = basis, c
+    ions = object.__new__(IonState)
+    ions.q, ions.p, ions.mass = q, p, mass
+    state = object.__new__(CrystalState)
+    state.psi, state.ions = psi, ions
+    return state
+
+
 class _FlowPlan:
     """Fixed arrays of the flow for one (basis, sigma), and the flow on raw arrays.
 
@@ -135,7 +154,9 @@ class _FlowPlan:
         table = frequency_table(spec)
         self.substitutions = basis.substitutions()
         self.ixi = 1j * table.xi
+        self.ixi_low = self.ixi[: table.zero + 1]  # up to xi = 0: ion_phases
         self.sites = lattice_points(spec).astype(float)
+        self.phases_shape = (table.size, spec.n_ions)
         self.sigma_hat = sigma.field.values
         self.conj_sigma_hat = np.conj(sigma.field.values)
         self.coulomb_weight = table.coulomb_weight
@@ -144,8 +165,21 @@ class _FlowPlan:
         self.e = sigma.e
 
     def ion_phases(self, q: np.ndarray) -> np.ndarray:
-        """exp(i xi (n + q(n))) as an ([R,] n_freq, n_ions) array."""
-        return np.exp(self.ixi @ (self.sites + q).swapaxes(-1, -2))
+        """exp(i xi (n + q(n))) as an ([R,] n_freq, n_ions) array.
+
+        The table is sorted and centrally symmetric, so position
+        n_freq - 1 - f holds -xi_f and xi = 0 sits in the middle.  Only the
+        positions up to xi = 0 take an exp; the rest are the conjugates of
+        their mirror positions, the values of exp at -xi (a zero imaginary
+        part may differ in sign).
+        """
+        low = np.exp(self.ixi_low @ (self.sites + q).swapaxes(-1, -2))
+        split = low.shape[-2]  # positions 0 .. zero
+        phases = np.empty(low.shape[:-2] + self.phases_shape, complex)
+        phases[..., :split, :] = low
+        # positions zero + 1 .. n_freq - 1 mirror zero - 1 .. 0
+        np.conjugate(low[..., -2::-1, :], out=phases[..., split:, :])
+        return phases
 
     def rho(self, c: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Total charge density: electron cloud plus the displaced ion sum."""
@@ -311,7 +345,7 @@ def evolve(
     plan = _FlowPlan(basis, sigma)
     rows = len(states)
     n_cells = basis.spec.cells_per_axis
-    c = np.stack([s.psi.values for s in states])
+    c = np.stack([s.psi.values for s in states]).astype(complex, copy=False)
     q = np.stack([s.ions.q for s in states]).astype(float, copy=False)
     p = np.stack([s.ions.p for s in states]).astype(float, copy=False)
     stacked = q.shape  # (R, n_ions, d)
@@ -334,9 +368,8 @@ def evolve(
         if observer is not None:
             cs = c.reshape(rows, -1).copy()
             qs, ps = q.reshape(stacked).copy(), p.reshape(stacked).copy()
-            for row in range(rows):
-                observer(time, CrystalState(CIVector(basis, cs[row]),
-                                            IonState(qs[row], ps[row], mass)))
+            for c_row, q_row, p_row in zip(cs, qs, ps):
+                observer(time, _row_state(basis, c_row, q_row, p_row, mass))
 
     record(0.0, 0.0, 0)
 
@@ -392,9 +425,8 @@ def evolve(
         time = step * dt
         record(time, residual, iterations)
 
-    c, q, p = c.reshape(rows, -1), q.reshape(stacked), p.reshape(stacked)
-    finals = [CrystalState(CIVector(basis, c[row]), IonState(q[row], p[row], mass))
-              for row in range(rows)]
+    finals = [_row_state(basis, c_row, q_row, p_row, mass) for c_row, q_row, p_row
+              in zip(c.reshape(rows, -1), q.reshape(stacked), p.reshape(stacked))]
     energies = np.array(e_log).reshape(-1, rows)
     charges = np.array(q_log).reshape(-1, rows)
     if not batch:

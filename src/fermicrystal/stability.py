@@ -561,7 +561,7 @@ def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
     each row's distance to S; one record per row, in row order.
 
     The observer buffers the R row states of each record and measures them
-    with one batched distance.
+    with one batched distance, building the record's arrays at its last row.
     """
     initial = [
         gs.state() if perturbation is None or delta == 0.0
@@ -573,9 +573,11 @@ def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
     def observer(t, state):
         pending.append(state)
         if len(pending) == len(rows):
-            c = np.stack([s.psi.values for s in pending])
-            q = np.stack([s.ions.q for s in pending])
-            p = np.stack([s.ions.p for s in pending])
+            # np.array of a list of equal-shape rows: np.stack's result,
+            # without its per-row checks
+            c = np.array([s.psi.values for s in pending])
+            q = np.array([s.ions.q for s in pending])
+            p = np.array([s.ions.p for s in pending])
             distances.append(_distance(c, q, p, gs)[0])
             pending.clear()
 

@@ -104,8 +104,9 @@ class FrequencyTable:
     xi_sq : (n_freq,) float array of |xi|^2.
     coulomb_weight : (n_freq,) float array of 1/|xi|^2 with the xi = 0 entry
         zeroed: the Green function -Laplace^{-1} on mean-free fields.
-    conj : (n_freq,) int array, position of -h for each h.
-    zero : int, position of h = 0.
+    conj : (n_freq,) int array, position of -h for each h.  The retained set
+        is centrally symmetric and sorted, so this is n_freq - 1 - f.
+    zero : int, position of h = 0, the middle one (n_freq - 1) // 2.
     gamma_star : (n_freq,) bool mask of frequencies on 2 pi Z^d.
     """
 

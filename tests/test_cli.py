@@ -163,6 +163,10 @@ def test_perturbed_box_validation():
         validate_config(cfg)
     cfg.model.amplitude = 0.5
     validate_config(cfg)
+    for decay in (-3.0, 0.25):  # the bump's tail bound needs 4 decay > 1
+        cfg.model.decay = decay
+        with pytest.raises(ConfigError, match="decay"):
+            validate_config(cfg)
 
 
 def test_round_trip_dict():
@@ -384,6 +388,22 @@ def test_exit_code_torus_rules(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "grid_per_axis" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("decay", ["-3", "0.25"])
+def test_exit_code_decay_bound(tmp_path, capsys, decay):
+    # the analysis-2d geometry: decay = -3 ran to exit 0 with a kernel
+    # tolerance of 4.5e45, decay = 0.25 divided by zero in the tail bound
+    path = tmp_path / "decay.ini"
+    path.write_text(
+        "[model]\ndimension = 2\ncells_per_axis = 2\ngrid_per_axis = 12\n"
+        "kind = perturbed_box\nprofile_exponent = 2\namplitude = 0.5\n"
+        f"decay = {decay}\n")
+    code, _ = run_cli(tmp_path, "--config", str(path), "density")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "decay" in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, raw, command", [

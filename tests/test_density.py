@@ -51,6 +51,13 @@ def test_box_rejects_nonpositive_charge(spec1d):
         box_density(spec1d, 0)
 
 
+@pytest.mark.parametrize("decay", [-3.0, 0.0, 0.25, float("nan")])
+def test_perturbed_box_rejects_slow_decay(spec2d, decay):
+    # the bump's spectral tail bound holds only for 4 decay > 1
+    with pytest.raises(InvalidDensityError, match="decay"):
+        perturbed_box_density(spec2d, decay=decay)
+
+
 def test_jellium_box_passes(spec1d):
     for k in (1, 2, 3):
         verdict = jellium_check(box_density(spec1d, k), radius=16.0 * np.pi)

@@ -434,3 +434,91 @@ def test_batch_observer_and_iterations_contract(gs1d, sigma1d):
             np.testing.assert_array_equal(s_batch.ions.p, s.ions.p)
     np.testing.assert_array_equal(log.iterations, np.max(counts, axis=0))
     assert len({int(c[1]) for c in counts}) > 1  # rows stop at different sweeps
+
+
+# --- row states and ion phases ---
+
+
+def assert_validated_state(state, basis, mass):
+    # the fields a row state carries are those the checking constructors give
+    checked = CrystalState(CIVector(basis, state.psi.values),
+                           IonState(state.ions.q, state.ions.p, state.ions.mass))
+    assert type(state) is CrystalState
+    assert type(state.psi) is CIVector and type(state.ions) is IonState
+    assert state.psi.basis is basis and state.ions.mass == mass
+    for got, want in ((state.psi.values, checked.psi.values),
+                      (state.ions.q, checked.ions.q),
+                      (state.ions.p, checked.ions.p)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_row_states_are_validated_states(gs1d, sigma1d, batch):
+    states = batch_states(gs1d) if batch else gs1d.state()
+    seen = []
+    finals, _ = evolve(states, sigma1d, dt=2e-2, duration=0.1,
+                       observer=lambda t, s: seen.append(s))
+    rows = len(states) if batch else 1
+    assert len(seen) == rows * 6
+    for state in seen + (finals if batch else [finals]):
+        assert_validated_state(state, gs1d.basis, gs1d.mass)
+    # the last record's row states are the final states
+    for got, want in zip(seen[-rows:], finals if batch else [finals]):
+        np.testing.assert_array_equal(got.psi.values, want.psi.values)
+        np.testing.assert_array_equal(got.ions.q, want.ions.q)
+        np.testing.assert_array_equal(got.ions.p, want.ions.p)
+
+
+def test_row_states_own_their_arrays(gs1d, sigma1d):
+    # each observed row is a copy: writing into row 0's arrays changes no
+    # other row, no later record and not the run
+    states = batch_states(gs1d)
+    clean_seen = []
+    clean_finals, clean_log = evolve(
+        states, sigma1d, dt=2e-2, duration=0.1,
+        observer=lambda t, s: clean_seen.append(s))
+    seen = []
+
+    def vandal(t, state):
+        seen.append(state)
+        if len(seen) % len(states) == 1:  # row 0 of each record
+            state.psi.values[:] = 0.0
+            state.ions.q += 0.5
+            state.ions.p[:] = 7.0
+
+    finals, log = evolve(states, sigma1d, dt=2e-2, duration=0.1, observer=vandal)
+    for k, (got, want) in enumerate(zip(seen, clean_seen)):
+        if k % len(states) == 0:
+            assert not got.psi.values.any() and (got.ions.p == 7.0).all()
+            continue
+        np.testing.assert_array_equal(got.psi.values, want.psi.values)
+        np.testing.assert_array_equal(got.ions.q, want.ions.q)
+        np.testing.assert_array_equal(got.ions.p, want.ions.p)
+    for got, want in zip(finals, clean_finals):
+        np.testing.assert_array_equal(got.psi.values, want.psi.values)
+        np.testing.assert_array_equal(got.ions.q, want.ions.q)
+        np.testing.assert_array_equal(got.ions.p, want.ions.p)
+    np.testing.assert_array_equal(log.energy, clean_log.energy)
+    np.testing.assert_array_equal(log.charge, clean_log.charge)
+    np.testing.assert_array_equal(log.iterations, clean_log.iterations)
+
+
+@pytest.mark.parametrize("d, n, n_g, budget", [
+    (1, 2, 16, 8.0), (1, 3, 18, 8.0),
+    (2, 2, 8, 3.0), (2, 3, 12, 4.0),
+    (3, 2, 6, 3.0), (3, 3, 6, 4.0),
+])
+def test_ion_phases_match_full_exp(d, n, n_g, budget):
+    # the mirrored half is the exp of the full table, bit for bit
+    spec = TorusSpec(d, n, n_g)
+    basis = enumerate_basis(spec, budget * np.pi**2 + 1e-9)
+    plan = dynamics._FlowPlan(basis, box_density(spec, 1))
+    rng = np.random.default_rng(d * 10 + n)
+    shape = (spec.n_ions, d)
+    for q in (np.zeros(shape), rng.uniform(-1.0, n + 1.0, shape),
+              rng.uniform(0.0, n, (4,) + shape)):
+        expected = np.exp(plan.ixi @ (plan.sites + q).swapaxes(-1, -2))
+        got = plan.ion_phases(q)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(got, expected)

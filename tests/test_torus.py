@@ -62,6 +62,9 @@ def test_frequency_table_structure(spec1d):
     ((1, 2, 8), 1e6),  # clipped to |h| <= 3 by the grid
     ((2, 2, 12), 0.0),
     ((3, 2, 6), 0.0),  # the ball |h| <= 3 clipped to |h_j| <= 2
+    ((1, 3, 9), 0.0),
+    ((2, 3, 12), 0.0),
+    ((3, 3, 9), 5.0),
 ])
 def test_frequency_table_lookup(geometry, cutoff):
     # the grid-slot gather against a dict over the retained rows, on a box
@@ -76,6 +79,10 @@ def test_frequency_table_lookup(geometry, cutoff):
     assert found[retained].tolist() == [i for i in expected if i is not None]
     assert table.conj.tolist() == [index[tuple(-row)] for row in table.h]
     assert table.zero == index[(0,) * spec.dimension]
+    # the set is centrally symmetric and sorted, so -h sits at the mirror
+    # position and h = 0 in the middle: _FlowPlan.ion_phases relies on it
+    np.testing.assert_array_equal(table.conj, np.arange(table.size)[::-1])
+    assert table.zero == (table.size - 1) // 2
     with pytest.raises(DimensionMismatchError, match="not retained"):
         table.positions(h)
 
