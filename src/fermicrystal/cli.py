@@ -187,7 +187,7 @@ def cmd_hessian(cfg: RunConfig, writer: ArtifactWriter) -> int:
     report = wiener_report(gs.sigma)
     payload = {
         "omega0": gs.omega0,
-        "matrix_size": form.matrix.shape[0],
+        "matrix_size": form.size,
         "kernel_dim_full": full.kernel_dim,
         "kernel_dim_constrained": constrained.kernel_dim,
         "lambda_min_full": full.lambda_min,

@@ -18,21 +18,26 @@ part carries i sigma_hat(xi) (xi . kappa_hat(xi)) exp(i xi r) and the
 electron part -e [P(xi) + conj(P(-xi))] with the transition amplitude
 P(xi) = <sum_j exp(i xi x_j) psi, phi>.  The form is assembled from the
 linear density map on the coordinates it reaches: a symmetric matrix whose
-Coulomb part couples only those coordinates, recorded with it, on top of a
-diagonal.  Every entry can be cross-checked against central differences of
-the plain energy because both sides share one spectral truncation.
+Coulomb part couples only those coordinates, held as its diagonal and the
+dense block on the coupled coordinates.  Every entry can be cross-checked
+against central differences of the plain energy because both sides share
+one spectral truncation.
 
 The kernel of the form on the full coordinate space is the translation
 block plus the flat ion space measured independently by the Wiener report;
 restricted to the normal-times-constraint subspace the form is positive
-definite exactly when the flat space is trivial, and that positivity is
-what the long-time perturbation runs probe.
+definite exactly when the flat space is trivial.  That constrained spectrum
+is E'' restricted, not the second variation the long-time perturbation runs
+probe: S is not a critical point of E (E'(S) = omega0 Q'(S)), and the runs
+rescale every state back to Q = Z, so they probe E - omega0 Q, whose second
+variation is E'' - 2 omega0 on the CI coordinates.  ROADMAP item 1 plans
+that charge form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -312,14 +317,33 @@ def quadratic_form(gs: GroundState, y: TangentVector) -> float:
 class HessianForm:
     """Symmetric matrix H with (1/2) <Y, E'' Y> = (1/2) y^T H y in packed coordinates.
 
-    ``coupled`` lists, in increasing order, the coordinates the Coulomb part
-    reaches; every other row and column of ``matrix`` is zero off the
-    diagonal.
+    H is held as its two parts: ``diagonal`` (length n, the diagonal of H) and
+    ``block``, the dense square of H on ``coupled``, the coordinates the
+    Coulomb part reaches, listed in increasing order, with their diagonal
+    entries already added.  Every other row and column of H is zero off the
+    diagonal.  ``matrix`` builds the dense n x n matrix on first use.
     """
 
     gs: GroundState
-    matrix: np.ndarray
+    diagonal: np.ndarray
     coupled: np.ndarray
+    block: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.diagonal.size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return hessian_matrix(self)
+
+
+def hessian_matrix(form: HessianForm) -> np.ndarray:
+    """The dense n x n matrix of the form: its diagonal with the coupled
+    block written over the coupled rows and columns."""
+    matrix = np.diag(form.diagonal)
+    matrix[np.ix_(form.coupled, form.coupled)] = form.block
+    return matrix
 
 
 def hessian_assemble(gs: GroundState) -> HessianForm:
@@ -334,8 +358,8 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     exactly zero, a subset of those the map reaches: the ion displacements
     and the determinants one substitution away from the ground state (168 of
     2692 at d = 2, B = 1338).  The Coulomb product runs over those only and
-    is scattered into a zeroed matrix; every other row and column of the
-    block is an exact zero, so the values and the zero pattern are those of
+    is kept as the form's block; every other row and column of the Coulomb
+    part is an exact zero, so the values and the zero pattern are those of
     the all-columns product.  The one caveat is rounding: OpenBLAS picks its
     kernels by the column count, so on small forms an entry may differ from
     the all-columns product in the last bit (bit for bit at B = 1338).
@@ -352,10 +376,9 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
         2.0 * gs.basis.kinetic, 2.0 * gs.basis.kinetic,
         np.zeros(block), np.full(block, 1.0 / gs.mass),
     ])
-    matrix = np.zeros((diagonal.size,) * 2)
-    matrix[np.ix_(coupled, coupled)] = part.T @ part
-    matrix[np.diag_indices(diagonal.size)] += diagonal
-    return HessianForm(gs, matrix, coupled)
+    product = part.T @ part
+    product[np.diag_indices(coupled.size)] += diagonal[coupled]
+    return HessianForm(gs, diagonal, coupled, product)
 
 
 @dataclass(eq=False)
@@ -371,7 +394,7 @@ def hessian_spectrum(
     subspace: str = "full",
     kernel_rtol: float = 1e-9,
 ) -> SpectrumResult:
-    """Eigenvalues of the form matrix, optionally on N_S S intersect T_S M.
+    """Eigenvalues of the form, optionally on N_S S intersect T_S M.
 
     The constrained subspace removes the gauge and translation directions
     and the radial direction normal to the charge constraint; on it the
@@ -386,7 +409,8 @@ def hessian_spectrum(
     coupled coordinates plus every uncoupled one.  The spectrum is
     therefore the uncoupled diagonal entries together with the eigenvalues
     of the (projected) coupled block: a permutation similarity, exact
-    rather than approximate.
+    rather than approximate.  Neither subspace builds the dense n x n
+    matrix.
     """
     index = form.coupled
     if subspace == "constrained":
@@ -397,13 +421,17 @@ def hessian_spectrum(
         _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
         rank = int((singular > 1e-12 * singular[0]).sum())
         complement = vh[rank:]
-        block = complement @ form.matrix[np.ix_(index, index)] @ complement.T
+        # H on the widened index: its diagonal with the coupled block inside
+        square = np.diag(form.diagonal[index])
+        inner = np.searchsorted(index, form.coupled)
+        square[np.ix_(inner, inner)] = form.block
+        block = complement @ square @ complement.T
     elif subspace == "full":
-        block = form.matrix[np.ix_(index, index)]
+        block = form.block
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     eigenvalues = np.sort(np.concatenate([
-        np.delete(np.diagonal(form.matrix), index), np.linalg.eigvalsh(block)
+        np.delete(form.diagonal, index), np.linalg.eigvalsh(block)
     ]))
     scale = float(np.abs(eigenvalues).max(initial=0.0))
     tolerance = kernel_rtol * max(scale, 1e-300)

@@ -6,6 +6,7 @@ from fermicrystal import (
     box_density,
     build_ground_state,
     enumerate_basis,
+    ground_occupations,
     perturbed_box_density,
 )
 
@@ -48,3 +49,12 @@ def sigma2d_perturbed(spec2d):
 @pytest.fixture(scope="session")
 def basis2d(spec2d):
     return enumerate_basis(spec2d, 3.0 * np.pi**2 + 1e-9)
+
+
+@pytest.fixture(scope="session")
+def gs3d():
+    """d = 3 perturbed box, basis at 2 omega0 + pi^2: B = 416, n = 880."""
+    spec = TorusSpec(3, 2, 8)
+    _, omega0 = ground_occupations(spec)
+    sigma = perturbed_box_density(spec, k=2, amplitude=0.5, decay=2.0)
+    return build_ground_state(enumerate_basis(spec, 2.0 * omega0 + np.pi**2), sigma)

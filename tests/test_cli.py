@@ -250,6 +250,24 @@ def test_cmd_hessian(tmp_path):
     assert report["eigenvalues_head"][0] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_cmd_hessian_d3(tmp_path):
+    # 2 omega0 + 2 pi^2 + 1e-9 (omega0 = 4 pi^2), the margin keeping the
+    # sets on that shell: B = 4364, so the packed form is 8776 square but
+    # couples only 324 coordinates
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[model]\ndimension = 3\ncells_per_axis = 2\ngrid_per_axis = 8\n"
+        "kind = perturbed_box\nprofile_exponent = 2\n"
+        "[basis]\nksq_budget = 98.69604401189359\n"
+    )
+    code, out = run_cli(tmp_path, "--config", str(ini), "hessian")
+    assert code == 0
+    report = json.loads((out / "hessian_report.json").read_text())
+    assert report["matrix_size"] == 8776  # 2 B + 2 m d
+    assert report["kernel_dim_constrained"] == 0
+    assert report["wiener_holds"] is True
+
+
 def test_cmd_evolve(tmp_path):
     code, out = run_cli(tmp_path, "--config", write_ini(tmp_path), "evolve")
     assert code == 0

@@ -242,8 +242,9 @@ def dense_spectrum(form, subspace, kernel_rtol=1e-9):
 
 
 def random_form(gs, seed, decoupled=(), zero_diagonal=()):
-    """A dense random symmetric matrix on the packed coordinates of gs, with
-    the off-diagonal entries of the ``decoupled`` rows and columns zeroed."""
+    """The form of a dense random symmetric matrix on the packed coordinates
+    of gs, with the off-diagonal entries of the ``decoupled`` rows and
+    columns zeroed."""
     rng = np.random.default_rng(seed)
     n = pack_tangent(TangentVector.zeros(gs.basis)).size
     a = rng.standard_normal((n, n))
@@ -255,18 +256,22 @@ def random_form(gs, seed, decoupled=(), zero_diagonal=()):
         matrix[i, i] = diagonal
     for i in zero_diagonal:
         matrix[i, i] = 0.0
-    return HessianForm(gs, matrix, np.setdiff1d(np.arange(n), decoupled))
+    coupled = np.setdiff1d(np.arange(n), decoupled)
+    return HessianForm(gs, np.diagonal(matrix).copy(), coupled,
+                       matrix[np.ix_(coupled, coupled)])
 
 
 @pytest.mark.parametrize("case", [
-    "gs1d", "flat2d", "perturbed2d", "dense", "dense_decoupled",
+    "gs1d", "flat2d", "perturbed2d", "perturbed3d", "dense", "dense_decoupled",
 ])
-def test_split_spectrum_matches_dense(case, gs1d, basis2d, sigma2d_box,
+def test_split_spectrum_matches_dense(case, request, gs1d, basis2d, sigma2d_box,
                                       sigma2d_perturbed):
     if case == "flat2d":
         form = hessian_assemble(build_ground_state(basis2d, sigma2d_box))
     elif case == "perturbed2d":
         form = hessian_assemble(build_ground_state(basis2d, sigma2d_perturbed))
+    elif case == "perturbed3d":
+        form = hessian_assemble(request.getfixturevalue("gs3d"))
     elif case == "dense":
         form = random_form(gs1d, seed=13)
     elif case == "dense_decoupled":
@@ -325,7 +330,7 @@ def mixture_ground_states():
 
 
 def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
-                                               sigma2d_perturbed):
+                                               sigma2d_perturbed, gs3d):
     single, mixture = mixture_ground_states()
     _, single_live = full_product_form(single)
     cases = [
@@ -333,6 +338,7 @@ def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
         build_ground_state(basis2d, sigma2d_box),
         build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7),
         mixture,
+        gs3d,
     ]
     for gs in cases:
         reference, live = full_product_form(gs)
@@ -347,7 +353,7 @@ def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
         # product may round an entry differently (the 1-d case is exact)
         np.testing.assert_allclose(matrix, reference, rtol=0.0,
                                    atol=1e-14 * np.abs(reference).max())
-        if gs.spec.dimension == 2:
+        if gs.spec.dimension >= 2:
             assert live.sum() < live.size  # the live-column product is used
     _, mixture_live = full_product_form(mixture)
     assert mixture_live.sum() > single_live.sum()
@@ -378,13 +384,15 @@ def rescan_spectrum(form, subspace, kernel_rtol=1e-9):
     return eigenvalues, int((np.abs(eigenvalues) <= tolerance).sum())
 
 
-def test_spectrum_matches_rescan(gs1d, basis2d, sigma2d_box, sigma2d_perturbed):
+def test_spectrum_matches_rescan(gs1d, basis2d, sigma2d_box, sigma2d_perturbed,
+                                gs3d):
     # the assembled coupled index gives the bits of the rescanned spectrum
     cases = [
         gs1d,
         build_ground_state(basis2d, sigma2d_box),
         build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7),
         mixture_ground_states()[1],
+        gs3d,
     ]
     for gs in cases:
         form = hessian_assemble(gs)
@@ -405,6 +413,8 @@ def test_hessian_benchmark_reference():
     form = hessian_assemble(gs)
     full = hessian_spectrum(form, "full")
     constrained = hessian_spectrum(form, "constrained")
+    assert "matrix" not in vars(form)  # neither spectrum built the dense matrix
+    assert form.size == 2692
     assert form.matrix.shape == (2692, 2692)
     assert full.kernel_dim == 2
     assert constrained.kernel_dim == 0
