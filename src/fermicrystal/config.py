@@ -196,6 +196,12 @@ def validate_config(cfg: RunConfig) -> None:
                 f"spectral tail), got {m.decay}")
     if m.charge * m.coupling <= 0:
         raise ConfigError("charge * coupling must be positive")
+    amplitude = m.amplitude if m.kind == "perturbed_box" else 0.0
+    peak = m.charge * m.coupling * (1.0 + amplitude * m.dimension)
+    if not math.isfinite(peak * peak):
+        raise ConfigError(
+            f"squared peak transform (e Z (1 + amplitude d))^2 = ({peak:.3e})^2 "
+            f"overflows a float: lower charge, coupling or amplitude")
     if m.cutoff_radius < 0:
         raise ConfigError("cutoff_radius must be nonnegative")
     b = cfg.basis

@@ -39,6 +39,15 @@ every off-diagonal entry on it is exactly 0.  At N = 2 every axis of every
 point is folded and the grid is about 1/2^d of the cube.  Sampled kinds
 (grid, fourier) are never folded: a sampled density need not be even per
 axis.
+
+A closed-form sigma_hat is also symmetric under axis permutations (one k,
+one amplitude, one decay for every axis), and the torus has one N.  So
+for a signed axis permutation S, which maps theta + 2 pi Z^d onto
+S theta + 2 pi Z^d and keeps |xi| and the ball, Sigma(S theta) =
+S Sigma(theta) S^T term by term.  The Wiener scan sums Sigma once per
+orbit of the dual cell under these maps, about N^d / (2^d d!) sums, and
+builds every other point's matrix by that similarity: at d = 3, N = 2 the
+7 points fall into 3 orbits.  Sampled kinds are summed at every point.
 """
 
 from __future__ import annotations
@@ -67,10 +76,18 @@ def box_profile_transform(s: np.ndarray, k: int) -> np.ndarray:
     return np.sinc(np.asarray(s, dtype=float) / TWO_PI) ** k
 
 
+# The transforms below run on the Wiener scan's full product grids, where
+# every fresh full-size temporary costs its first touch page by page, so
+# they update their few full-size arrays in place.  Each in-place step is
+# the same IEEE operation as the expression charge * (box + amplitude *
+# bump * envelope), operands swapped only where that is exact.
+
 def _box_transform(axes, k: int, charge: float) -> np.ndarray:
     # ``axes`` holds one coordinate array per axis; they broadcast together,
     # so the columns of an (n, d) array and reshaped 1-d axes both work.
-    return charge * math.prod(box_profile_transform(a, k) for a in axes)
+    value = math.prod(box_profile_transform(a, k) for a in axes)
+    value *= charge
+    return value
 
 
 def _perturbed_box_transform(
@@ -79,10 +96,15 @@ def _perturbed_box_transform(
     # The bump sum_i sin^2(xi_i / 2) vanishes exactly on gamma* and nowhere
     # else; the per-axis algebraic decay keeps |sigma_hat| <= C / |xi|^2.
     axes = [np.asarray(a, dtype=float) for a in axes]
-    box = math.prod(box_profile_transform(a, k) for a in axes)
+    value = math.prod(1.0 / (1.0 + (a / TWO_PI) ** 2) for a in axes)
+    value **= decay  # the envelope
     bump = sum(np.sin(a / 2.0) ** 2 for a in axes)
-    envelope = math.prod(1.0 / (1.0 + (a / TWO_PI) ** 2) for a in axes) ** decay
-    return charge * (box + amplitude * bump * envelope)
+    bump *= amplitude
+    value *= bump
+    del bump  # its block is free for the box product
+    value += math.prod(box_profile_transform(a, k) for a in axes)
+    value *= charge
+    return value
 
 
 @dataclass(eq=False)
@@ -120,6 +142,15 @@ class IonDensityModel:
         if abs(total - self.e * self.Z) > 1e-10 * abs(self.e * self.Z):
             raise InvalidDensityError(
                 f"total charge {total:.12g} does not match e Z = {self.e * self.Z:.12g}"
+            )
+        # |sigma_hat| <= e Z (1 + amplitude d), and the Wiener tail bounds
+        # square it: a Python float squared by ** raises on overflow
+        amplitude = self.params[1] if self.kind == "perturbed_box" else 0.0
+        peak = self.charge * (1.0 + amplitude * self.spec.dimension)
+        if not math.isfinite(peak * peak):
+            raise InvalidDensityError(
+                f"squared peak transform (e Z (1 + amplitude d))^2 = ({peak:.3e})^2 "
+                f"overflows a float"
             )
 
     @property
@@ -388,12 +419,14 @@ def _spectral_tail_bound(model: IonDensityModel, radius: float) -> float:
         return scale * d * _box_axis_tail(k, length)
     if model.kind == "perturbed_box":
         k, amplitude, decay = model.params
-        box_part = d * _box_axis_tail(k, length)
+        box_part = scale * d * _box_axis_tail(k, length)
         s_axis = 1.0 + _bump_axis_tail(decay, 0.0)
-        bump_part = ((amplitude * d) ** 2 * d * _bump_axis_tail(decay, length)
-                     * s_axis ** (d - 1))
+        # e Z amplitude d is below the peak the model checks, so its square
+        # is finite even where amplitude d alone would overflow squared
+        bump_part = ((model.charge * amplitude * d) ** 2 * d
+                     * _bump_axis_tail(decay, length) * s_axis ** (d - 1))
         # |a + b|^2 <= 2|a|^2 + 2|b|^2 splits the box and bump contributions
-        return scale * 2.0 * (box_part + bump_part)
+        return 2.0 * (box_part + bump_part)
     raise InvalidDensityError(f"no spectral tail model for kind {model.kind!r}")
 
 
@@ -436,7 +469,8 @@ def wiener_matrix(
     (1 at xi_i = 0), and the off-diagonal entries on that axis are written
     as exact zeros.  The ball is symmetric, so this is the full sum up to
     rounding, and the tail bound is unchanged.  Sampled kinds sum the
-    whole grid.
+    whole grid.  Every kind's grid keeps on each axis only the shifts with
+    |xi_i| <= R, the ones the truncation ball can reach.
     """
     spec = model.spec
     d, n = spec.dimension, spec.cells_per_axis
@@ -461,14 +495,18 @@ def wiener_matrix(
     # xi_i -> -xi_i, which keeps a closed-form sigma_hat, |xi| and the ball:
     # sum it over xi_i >= 0 with weight 2 (1 at xi_i = 0)
     folded = model.closed_form & (2 * h % n == 0)
-    # axis i of the product grid holds theta_i + 2 pi m_i
-    axes = [(t + (shifts[m_max:] if fold else shifts)).reshape((-1,) + (1,) * (d - 1 - i))
-            for i, (t, fold) in enumerate(zip(theta, folded))]
+    # axis i of the product grid holds the theta_i + 2 pi m_i inside the
+    # ball's extent; |xi_i| > R puts |xi| > R, so the cut drops no kept term
+    axes = []
+    for i, (t, fold) in enumerate(zip(theta, folded)):
+        axis = t + (shifts[m_max:] if fold else shifts)
+        axis = axis[np.abs(axis) <= truncation_radius + 1e-12]
+        axes.append(axis.reshape((-1,) + (1,) * (d - 1 - i)))
     xi_sq = sum(a**2 for a in axes)
     r = np.sqrt(xi_sq)
     keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
     if model.closed_form:
-        amp2 = np.abs(model._transform(axes)) ** 2
+        amp2 = np.square(model._transform(axes))  # real: |x|^2 = x * x exactly
     else:
         kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
         amp2 = np.zeros(keep.shape)
@@ -476,8 +514,11 @@ def wiener_matrix(
     for a, fold in zip(axes, folded):
         if fold:
             amp2 *= np.where(a == 0.0, 1.0, 2.0)  # the mirror image of each xi_i > 0
-    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w
-    w = np.divide(amp2, xi_sq, out=np.zeros(keep.shape), where=keep)
+    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w;
+    # xi_sq is not read again, so w takes its place (finite, so the mask
+    # zeroes the dropped entries exactly)
+    w = np.divide(amp2, xi_sq, out=xi_sq, where=keep)
+    w *= keep
     coords = [a.ravel() for a in axes]
     matrix = np.zeros((d, d))
     for i in range(d):
@@ -513,6 +554,17 @@ def wiener_report(
     kernel_rtol * trace(Sigma) + tail_bound count as zero.  ``wiener_holds``
     says every point is positive definite at that tolerance.
 
+    Closed-form kinds call ``wiener_matrix`` once per orbit of the dual
+    cell under signed axis permutations.  With v = h mod N, each axis is
+    reflected to r_i = min(v_i, N - v_i) (sign s_i = -1 where v_i > r_i)
+    and the axes are sorted stably; the sorted r is the orbit's
+    representative, itself a dual-cell point, and Sigma(h) is
+    s s^T * Sigma(representative) with rows and columns put back in h's
+    axis order.  The similarity is exact, so this is the direct sum up to
+    rounding; the tail bound is the representative's.  Sampled kinds need
+    not share the symmetry and get one ``wiener_matrix`` call per point.
+    The diagonalization, the tolerance and the flat space stay per point.
+
     The flat space collects the real lattice vector fields
     v(n) = Re / Im of exp(-i theta n) v_hat with Sigma(theta) v_hat = 0;
     conjugate pairs (theta, -theta) are taken once with both quadratures,
@@ -528,9 +580,24 @@ def wiener_report(
     tail_used = 0.0
     degenerate_rows = []
     seen_pairs = set()
+    bases = {}  # closed-form Sigma per orbit representative, this call only
     # the dual cell {0..N-1}^d without its first point, the origin
     for h in map(tuple, ions[1:].tolist()):
-        matrix, tail = wiener_matrix(model, h, truncation_radius)
+        if model.closed_form:
+            # theta = S theta_canon for a signed axis permutation S, and
+            # Sigma(S theta) = S Sigma(theta) S^T: sum the orbit once
+            v = np.asarray(h) % n
+            r = np.minimum(v, n - v)
+            signs = np.where(v == r, 1.0, -1.0)
+            perm = np.argsort(r, kind="stable")
+            canon = tuple(int(x) for x in r[perm])
+            if canon not in bases:
+                bases[canon] = wiener_matrix(model, canon, truncation_radius)
+            base, tail = bases[canon]
+            inv = np.argsort(perm)
+            matrix = np.outer(signs, signs) * base[np.ix_(inv, inv)]
+        else:
+            matrix, tail = wiener_matrix(model, h, truncation_radius)
         eigenvalues, vectors = np.linalg.eigh(matrix)
         ktol = kernel_rtol * float(np.trace(matrix)) + tail
         tolerance = max(tolerance, ktol)

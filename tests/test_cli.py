@@ -424,6 +424,23 @@ def test_exit_code_decay_bound(tmp_path, capsys, decay):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", [
+    "kind = box\nprofile_exponent = 1\ncharge = 1e160\n",
+    "kind = perturbed_box\nprofile_exponent = 2\namplitude = 1e160\n",
+], ids=["box-charge", "perturbed-amplitude"])
+def test_exit_code_overflowing_peak(tmp_path, capsys, model):
+    # both overflowed squaring a Python float in the tail bound, with a
+    # traceback
+    path = tmp_path / "peak.ini"
+    path.write_text(
+        "[model]\ndimension = 2\ncells_per_axis = 2\ngrid_per_axis = 12\n" + model)
+    code, _ = run_cli(tmp_path, "--config", str(path), "density")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "peak" in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, raw, command", [
     ("STABILITY_FP_TOL", "-1e-13", "stability"),
     ("DYNAMICS_MAX_ITERATIONS", "0", "evolve"),

@@ -58,6 +58,16 @@ def test_perturbed_box_rejects_slow_decay(spec2d, decay):
         perturbed_box_density(spec2d, decay=decay)
 
 
+@pytest.mark.parametrize("build", [
+    lambda spec: box_density(spec, 1, Z=1e160),
+    lambda spec: perturbed_box_density(spec, amplitude=1e160),
+], ids=["box-charge", "perturbed-amplitude"])
+def test_density_rejects_overflowing_peak(spec2d, build):
+    # (e Z (1 + amplitude d))^2 scales every Sigma entry and tail bound
+    with pytest.raises(InvalidDensityError, match="peak"):
+        build(spec2d)
+
+
 def test_jellium_box_passes(spec1d):
     for k in (1, 2, 3):
         verdict = jellium_check(box_density(spec1d, k), radius=16.0 * np.pi)
@@ -434,3 +444,82 @@ def test_closed_form_transform_even_per_axis(xi, kind):
         flipped = xi.copy()
         flipped[axis] = -flipped[axis]
         assert abs(model._transform(list(flipped)) - values) <= 1e-15 * abs(model.charge)
+
+
+def _orbit(h, n):
+    """The signed-permutation class of a dual-cell point: sorted min(h, N - h)."""
+    v = np.asarray(h) % n
+    return tuple(sorted(int(x) for x in np.minimum(v, n - v)))
+
+
+@pytest.mark.parametrize("kind", ["box1", "box2", "perturbed"])
+@pytest.mark.parametrize("spec", [
+    TorusSpec(2, 3, 12),
+    TorusSpec(2, 4, 8),  # h_i = 2 reflects onto itself; h_i = 1, 3 leave off-diagonals
+    TorusSpec(3, 2, 8),
+    TorusSpec(3, 3, 9),
+], ids=lambda s: f"d{s.dimension}-N{s.cells_per_axis}")
+def test_wiener_orbit_map_matches_direct(kind, spec):
+    # each closed-form point's matrix is mapped from its orbit's
+    # representative: it must equal the direct sum up to rounding, signs of
+    # the off-diagonal entries included, and give the same kernel
+    model = WIENER_MODELS[kind](spec)
+    report = wiener_report(model)
+    assert len(report.points) == spec.cells_per_axis**spec.dimension - 1
+    for p in report.points:
+        direct, tail = wiener_matrix(model, p.h)
+        assert np.abs(p.matrix - direct).max() <= 1e-12 * np.abs(direct).max()
+        ktol = 1e-9 * float(np.trace(direct)) + tail
+        assert p.kernel_dim == int((np.linalg.eigvalsh(direct) <= ktol).sum())
+
+
+def _count_wiener_calls(model, monkeypatch):
+    calls = []
+    inner = density.wiener_matrix
+
+    def counted(m, h, radius):
+        calls.append(tuple(h))
+        return inner(m, h, radius)
+
+    monkeypatch.setattr(density, "wiener_matrix", counted)
+    return density.wiener_report(model), calls
+
+
+def test_wiener_report_one_sum_per_orbit(monkeypatch):
+    # the analysis benchmark's d = 3 density: 7 points in 3 orbits
+    model = perturbed_box_density(TorusSpec(3, 2, 8), k=2, amplitude=0.5, decay=2.0)
+    report, calls = _count_wiener_calls(model, monkeypatch)
+    assert len(report.points) == 7
+    assert calls == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def test_wiener_report_sampled_per_point(monkeypatch):
+    # a sampled density need not share the symmetry: one sum per point
+    model = _sampled(perturbed_box_density(TorusSpec(3, 2, 8)))
+    report, calls = _count_wiener_calls(model, monkeypatch)
+    assert calls == [p.h for p in report.points] and len(calls) == 7
+
+
+@pytest.mark.parametrize("spec", [TorusSpec(2, 4, 8), TorusSpec(3, 3, 9)],
+                         ids=lambda s: f"d{s.dimension}-N{s.cells_per_axis}")
+def test_wiener_orbit_mates_share_eigenvalues(spec):
+    model = perturbed_box_density(spec)
+    n = spec.cells_per_axis
+    orbits = {}
+    for p in wiener_report(model).points:
+        orbits.setdefault(_orbit(p.h, n), []).append(p)
+    assert len(orbits) < len(lattice_points(spec)) - 1
+    for mates in orbits.values():
+        first = mates[0].eigenvalues
+        for p in mates[1:]:
+            np.testing.assert_allclose(p.eigenvalues, first, rtol=0.0,
+                                       atol=1e-13 * first[-1])
+            assert p.kernel_dim == mates[0].kernel_dim
+
+
+def test_wiener_tail_bound_small_charge_large_amplitude(spec2d):
+    # (amplitude d)^2 alone overflows a float here, e Z amplitude d does not
+    model = perturbed_box_density(spec2d, amplitude=1e155, Z=1e-10)
+    report = wiener_report(model)
+    assert np.isfinite(report.tail_bound) and report.tail_bound > 0.0
+    assert report.wiener_holds
