@@ -196,6 +196,8 @@ def cmd_hessian(cfg: RunConfig, writer: ArtifactWriter) -> int:
         "wiener_holds": bool(report.wiener_holds),
         "degeneracy_dim": report.degeneracy_dim,
         "eigenvalues_head": [float(v) for v in full.eigenvalues[:12]],
+        # the blocks the spectra diagonalise, one per Bloch sector
+        "sector_sizes": sorted(len(sector.block) for sector in form.sectors),
     }
     writer.write_json("hessian_report.json", payload)
     return 0

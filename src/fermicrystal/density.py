@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -368,6 +369,7 @@ class WienerReport:
         raise KeyError(f"no dual-cell point {key} in report")
 
 
+@lru_cache(maxsize=64)
 def _box_axis_tail(k: int, length: float) -> float:
     """sum of (2/|s|)^{2k} over a 2 pi spaced shifted 1-d lattice, |s| > length.
 
@@ -387,6 +389,7 @@ def _box_axis_tail(k: int, length: float) -> float:
     return 2.0 * (head + remainder)
 
 
+@lru_cache(maxsize=64)
 def _bump_axis_tail(decay: float, length: float) -> float:
     """Same per-axis tail for the envelope (1 + (s / 2 pi)^2)^{-2 decay}."""
     j0 = max(1, int(np.ceil((length / np.pi + 1.0) / 2.0)))
@@ -430,6 +433,7 @@ def _spectral_tail_bound(model: IonDensityModel, radius: float) -> float:
     raise InvalidDensityError(f"no spectral tail model for kind {model.kind!r}")
 
 
+@lru_cache(maxsize=64)
 def _lattice_ball_tail(radius: float, dimension: int) -> float:
     """sum of |xi|^-4 over a shifted lattice theta + 2 pi Z^d with |xi| > radius.
 
@@ -503,17 +507,21 @@ def wiener_matrix(
         axis = axis[np.abs(axis) <= truncation_radius + 1e-12]
         axes.append(axis.reshape((-1,) + (1,) * (d - 1 - i)))
     xi_sq = sum(a**2 for a in axes)
-    r = np.sqrt(xi_sq)
-    keep = (r <= truncation_radius + 1e-12) & (r > 1e-12)
+    # |xi|^2 is (2 pi / N)^2 times an integer, so no |xi|^2 lies within
+    # rounding of (R + 1e-12)^2: this keeps the points |xi| <= R + 1e-12 keeps
+    keep = (xi_sq <= (truncation_radius + 1e-12) ** 2) & (xi_sq > 1e-24)
     if model.closed_form:
         amp2 = np.square(model._transform(axes))  # real: |x|^2 = x * x exactly
     else:
         kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
         amp2 = np.zeros(keep.shape)
         amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
-    for a, fold in zip(axes, folded):
-        if fold:
-            amp2 *= np.where(a == 0.0, 1.0, 2.0)  # the mirror image of each xi_i > 0
+        r = np.sqrt(xi_sq)
+    if folded.any():
+        # the mirror image of each xi_i > 0, as one factor of 1s, 2s and 4s:
+        # exact, so the same bits as one pass per folded axis
+        amp2 *= math.prod(np.where(a == 0.0, 1.0, 2.0) for a, fold in zip(axes, folded)
+                          if fold)
     # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w;
     # xi_sq is not read again, so w takes its place (finite, so the mask
     # zeroes the dropped entries exactly)
@@ -561,9 +569,12 @@ def wiener_report(
     representative, itself a dual-cell point, and Sigma(h) is
     s s^T * Sigma(representative) with rows and columns put back in h's
     axis order.  The similarity is exact, so this is the direct sum up to
-    rounding; the tail bound is the representative's.  Sampled kinds need
-    not share the symmetry and get one ``wiener_matrix`` call per point.
-    The diagonalization, the tolerance and the flat space stay per point.
+    rounding; the tail bound is the representative's.  The representative
+    is diagonalised once: its orbit mates share its eigenvalues, and their
+    eigenvectors are its own, permuted and signed the same way.  Sampled
+    kinds need not share the symmetry and get one ``wiener_matrix`` call and
+    one diagonalization per point.  The tolerance and the flat space stay
+    per point.
 
     The flat space collects the real lattice vector fields
     v(n) = Re / Im of exp(-i theta n) v_hat with Sigma(theta) v_hat = 0;
@@ -580,25 +591,28 @@ def wiener_report(
     tail_used = 0.0
     degenerate_rows = []
     seen_pairs = set()
-    bases = {}  # closed-form Sigma per orbit representative, this call only
+    bases = {}  # closed-form Sigma and its eigh per orbit representative
     # the dual cell {0..N-1}^d without its first point, the origin
     for h in map(tuple, ions[1:].tolist()):
         if model.closed_form:
             # theta = S theta_canon for a signed axis permutation S, and
-            # Sigma(S theta) = S Sigma(theta) S^T: sum the orbit once
+            # Sigma(S theta) = S Sigma(theta) S^T: sum and diagonalise the
+            # orbit once; S maps the eigenvectors, the eigenvalues stay
             v = np.asarray(h) % n
             r = np.minimum(v, n - v)
             signs = np.where(v == r, 1.0, -1.0)
             perm = np.argsort(r, kind="stable")
             canon = tuple(int(x) for x in r[perm])
             if canon not in bases:
-                bases[canon] = wiener_matrix(model, canon, truncation_radius)
-            base, tail = bases[canon]
+                base, tail = wiener_matrix(model, canon, truncation_radius)
+                bases[canon] = base, tail, np.linalg.eigh(base)
+            base, tail, (eigenvalues, vectors) = bases[canon]
             inv = np.argsort(perm)
             matrix = np.outer(signs, signs) * base[np.ix_(inv, inv)]
+            vectors = signs[:, None] * vectors[inv]
         else:
             matrix, tail = wiener_matrix(model, h, truncation_radius)
-        eigenvalues, vectors = np.linalg.eigh(matrix)
+            eigenvalues, vectors = np.linalg.eigh(matrix)
         ktol = kernel_rtol * float(np.trace(matrix)) + tail
         tolerance = max(tolerance, ktol)
         tail_used = max(tail_used, tail)

@@ -61,7 +61,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .density import IonDensityModel
-from .errors import DimensionMismatchError, IntegratorError
+from .errors import AdmissibilityError, DimensionMismatchError, IntegratorError
 from .fermions import CIVector
 from .torus import FourierScalarField, frequency_table, lattice_points
 
@@ -322,7 +322,9 @@ def evolve(
     with the kinetic term inverted exactly.  Each row stops on its own
     rule and is then frozen for the rest of the step; a row that does not
     converge raises :class:`IntegratorError` naming the row, its step and
-    its time.
+    its time.  A row whose initial energy or charge is not finite, such as
+    one whose ion momenta overflow when squared, raises
+    :class:`AdmissibilityError` before the first step.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -371,7 +373,15 @@ def evolve(
             for c_row, q_row, p_row in zip(cs, qs, ps):
                 observer(time, _row_state(basis, c_row, q_row, p_row, mass))
 
-    record(0.0, 0.0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0.0, 0.0, 0)
+    energies, charges = np.reshape(e_log[0], rows), np.reshape(q_log[0], rows)
+    finite = np.isfinite(energies + charges)  # one check per row
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise AdmissibilityError(
+            f"initial state of row {row} has energy {energies[row]:.3g} and "
+            f"charge {charges[row]:.3g}; both must be finite")
 
     def rhs_of(c_, q_, p_, density_=None):
         return _rhs_raw(plan, c_, q_, p_, mass, density_)

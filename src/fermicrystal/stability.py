@@ -23,6 +23,14 @@ dense block on the coupled coordinates.  Every entry can be cross-checked
 against central differences of the plain energy because both sides share
 one spectral truncation.
 
+Lattice translations commute with E''(S), so the block is block diagonal
+by Bloch momentum theta = 2 pi h / N, as a force-constant matrix reduces
+to one dynamical matrix per wavevector.  With the ion displacements turned
+into real Bloch waves, the block splits into one sector per pair
+{h, -h}: each CI coordinate sits in the sector its response frequencies
+carry, and each sector holds its waves.  The spectra take one small
+eigen-solve per sector.
+
 The kernel of the form on the full coordinate space is the translation
 block plus the flat ion space measured independently by the Wiener report;
 restricted to the normal-times-constraint subspace the form is positive
@@ -36,8 +44,8 @@ that charge form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,7 +60,7 @@ from .fermions import (
     ground_occupations,
     h1_norm,
 )
-from .torus import FourierScalarField, frequency_table
+from .torus import TWO_PI, FourierScalarField, frequency_table, lattice_points
 
 
 @dataclass(eq=False)
@@ -314,6 +322,15 @@ def quadratic_form(gs: GroundState, y: TangentVector) -> float:
 
 
 @dataclass(eq=False, frozen=True)
+class HessianSector:
+    """One diagonal block of the form in its frame: ``block`` is the square
+    of the rotated coupled block on the positions ``index``."""
+
+    index: np.ndarray
+    block: np.ndarray
+
+
+@dataclass(eq=False, frozen=True)
 class HessianForm:
     """Symmetric matrix H with (1/2) <Y, E'' Y> = (1/2) y^T H y in packed coordinates.
 
@@ -322,12 +339,31 @@ class HessianForm:
     Coulomb part reaches, listed in increasing order, with their diagonal
     entries already added.  Every other row and column of H is zero off the
     diagonal.  ``matrix`` builds the dense n x n matrix on first use.
+
+    ``sectors`` are the diagonal blocks the spectra diagonalise.  They live
+    in a rotated frame of the coupled coordinates: the last
+    ``len(rotation)`` coordinates are replaced by the orthonormal
+    combinations in the rows of ``rotation``, and the others are kept.
+    Each sector is the rotated block on its positions ``index``, and the
+    sectors partition the positions.  ``hessian_assemble`` fills both
+    fields with the Bloch sectors: ``rotation`` takes the ion displacements
+    to real Bloch waves, and the entries between two sectors vanish up to
+    rounding.  The default is one sector, the block itself, and no
+    rotation, which is exact for any form, such as one built from a bare
+    matrix.
     """
 
     gs: GroundState
     diagonal: np.ndarray
     coupled: np.ndarray
     block: np.ndarray
+    sectors: tuple = ()
+    rotation: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    def __post_init__(self):
+        if not self.sectors:
+            whole = HessianSector(np.arange(self.coupled.size), self.block)
+            object.__setattr__(self, "sectors", (whole,))
 
     @property
     def size(self) -> int:
@@ -337,6 +373,11 @@ class HessianForm:
     def matrix(self) -> np.ndarray:
         return hessian_matrix(self)
 
+    @cached_property
+    def sector_eigenvalues(self) -> tuple:
+        """The eigenvalues of each sector, computed once for both spectra."""
+        return tuple(np.linalg.eigvalsh(sector.block) for sector in self.sectors)
+
 
 def hessian_matrix(form: HessianForm) -> np.ndarray:
     """The dense n x n matrix of the form: its diagonal with the coupled
@@ -344,6 +385,103 @@ def hessian_matrix(form: HessianForm) -> np.ndarray:
     matrix = np.diag(form.diagonal)
     matrix[np.ix_(form.coupled, form.coupled)] = form.block
     return matrix
+
+
+def _rotate(columns: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """A copy of ``columns`` with its last len(rotation) columns rotated."""
+    out = columns.copy()
+    tail = columns.shape[1] - len(rotation)
+    out[:, tail:] = columns[:, tail:] @ rotation.T
+    return out
+
+
+def _sectors(block: np.ndarray, rotation: np.ndarray, indices) -> tuple:
+    """The sectors of the coupled ``block`` on ``indices`` after ``rotation``."""
+    rotated = _rotate(block, rotation)
+    tail = len(block) - len(rotation)
+    rotated[tail:] = rotation @ rotated[tail:]
+    return tuple(HessianSector(index, rotated[np.ix_(index, index)]) for index in indices)
+
+
+def _join(group: np.ndarray, members: np.ndarray) -> None:
+    """Merge the groups of the ``members`` (a mask) into their lowest label.
+
+    A label is the lowest member of its group, so the labels in use are the
+    i with group[i] == i.  (``np.unique`` would import ``numpy.ma``, about
+    0.6 MB, in every process that assembles a form.)
+    """
+    labels = group[members]
+    group[np.isin(group, labels)] = labels.min()
+
+
+@lru_cache(maxsize=64)
+def _bloch_waves(spec) -> tuple:
+    """The torus's pairs {h, -h} of lattice momenta, its Bloch waves and the
+    pair of each response row, read-only: ``(pair, waves, indicator)``.
+
+    The classes h are the lattice sites, in their order; ``pair[h]`` names
+    h's pair by its lower class.  Row h of ``waves`` is the unit wave over
+    the sites that class h takes: the cosine of its pair for the lower
+    class, the sine for the other.  ``indicator[p, r]`` is 1 where response
+    row r (real parts, then imaginary parts, at each retained frequency)
+    lies in pair p.
+    """
+    n, d = spec.cells_per_axis, spec.dimension
+    sites = lattice_points(spec)
+    m = len(sites)
+    conj = np.ravel_multi_index((-sites % n).T, (n,) * d)
+    pair = np.minimum(np.arange(m), conj)
+    phase = (TWO_PI / n) * (sites[pair] @ sites.T)
+    waves = np.where((pair == np.arange(m))[:, None], np.cos(phase), np.sin(phase))
+    waves *= np.where(conj == np.arange(m), np.sqrt(1.0 / m), np.sqrt(2.0 / m))[:, None]
+    rows = pair[np.ravel_multi_index((frequency_table(spec).h % n).T, (n,) * d)]
+    indicator = (np.tile(rows, 2) == np.arange(m)[:, None]).astype(float)
+    for array in (pair, waves, indicator):
+        array.setflags(write=False)
+    return pair, waves, indicator
+
+
+def _bloch_sectors(gs: GroundState, part: np.ndarray, coupled: np.ndarray) -> tuple:
+    """The Bloch rotation of the coupled ion displacements, and each Bloch
+    sector's positions in the rotated coupled coordinates.
+
+    ``part`` holds the weighted response on ``coupled``: rows are the real
+    then the imaginary parts at each frequency xi = (2 pi / N) k.  Lattice
+    translations act on a coupled coordinate through its class k mod N, so
+    H is block diagonal by the pairs {h, -h} of classes:
+
+    * a CI coordinate belongs to the pairs its nonzero response rows carry
+      (one for a single determinant; a mixture's coordinate may be one
+      substitution from two support sets and span two, and the pairs one
+      coordinate spans are merged into one sector);
+    * the ion displacements, the last coupled coordinates, are rotated into
+      the real orthonormal Bloch waves cos(theta n) and sin(theta n),
+      theta = 2 pi h / N, per axis: the cosine alone where h = -h mod N,
+      both otherwise.  A wave's response rows are those of its pair up to
+      rounding, and a translation is the h = 0 wave of its axis.
+    """
+    d = gs.spec.dimension
+    pair, waves, indicator = _bloch_waves(gs.spec)
+    m = len(pair)
+    first = 2 * gs.basis.size  # the first ion displacement
+    n_ci = np.searchsorted(coupled, first)  # the CI coordinates come first
+    # the pairs a CI coordinate's nonzero rows carry, by sums of |entries|
+    hit = indicator @ np.abs(part[:, :n_ci]) > 0.0
+    group = pair.copy()
+    for column in np.flatnonzero(hit.sum(axis=0) > 1):
+        _join(group, hit[:, column])
+    owner = group[np.argmax(hit, axis=0)]
+    # the ion columns of an axis are all dead (sigma_hat(xi) xi_j = 0 for
+    # every xi) or all live; the waves go class by class, axis by axis
+    site, axis = np.divmod(coupled[n_ci:] - first, d)
+    live = np.flatnonzero(np.bincount(axis, minlength=d))
+    rotation = (waves[:, None, site] * (axis == live[:, None])).reshape(
+        m * live.size, site.size)
+    wave_group = np.repeat(group[pair], live.size)
+    indices = [np.concatenate([np.flatnonzero(owner == label),
+                               n_ci + np.flatnonzero(wave_group == label)])
+               for label in np.flatnonzero(group == np.arange(m))]
+    return rotation, [index for index in indices if index.size]
 
 
 def hessian_assemble(gs: GroundState) -> HessianForm:
@@ -363,6 +501,11 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     the all-columns product.  The one caveat is rounding: OpenBLAS picks its
     kernels by the column count, so on small forms an entry may differ from
     the all-columns product in the last bit (bit for bit at B = 1338).
+
+    The block, kept as it is, is then cut into its Bloch sectors (see
+    ``_bloch_sectors``), one per pair {h, -h} of lattice momenta, merged
+    where a coordinate spans two: 36, 38, 44 and 50 coordinates at
+    B = 1338.
     """
     block = gs.spec.n_ions * gs.spec.dimension
     # Re(R^H W R) = S^T S with S the real and imaginary parts of sqrt(W) R
@@ -378,7 +521,9 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     ])
     product = part.T @ part
     product[np.diag_indices(coupled.size)] += diagonal[coupled]
-    return HessianForm(gs, diagonal, coupled, product)
+    rotation, indices = _bloch_sectors(gs, part, coupled)
+    return HessianForm(gs, diagonal, coupled, product,
+                       _sectors(product, rotation, indices), rotation)
 
 
 @dataclass(eq=False)
@@ -387,6 +532,62 @@ class SpectrumResult:
     kernel_dim: int
     lambda_min: float
     tolerance: float
+
+
+def _block_diagonal(squares: list) -> np.ndarray:
+    if len(squares) == 1:
+        return squares[0]
+    size = sum(len(square) for square in squares)
+    out = np.zeros((size, size))
+    start = 0
+    for square in squares:
+        stop = start + len(square)
+        out[start:stop, start:stop] = square
+        start = stop
+    return out
+
+
+def _constrained_eigenvalues(form: HessianForm) -> tuple:
+    """The eigenvalues of the constrained form per group, and the
+    coordinates the groups cover.
+
+    The groups are the sectors and the uncoupled coordinates the removed
+    directions touch (the support of the gauge and radial directions).
+    Each removed direction is read in each group's frame; a direction that
+    reaches two groups joins them, and a group it reaches is projected on
+    the complement of what reaches it, by SVD.  A component below 1e-12 of
+    the largest removed direction counts as zero, the rank cut of that SVD:
+    a translation's components off the h = 0 sector are such rounding.  A
+    sector no direction reaches keeps the eigenvalues of the full spectrum.
+    """
+    spanned = _removed_directions(form.gs)
+    loose = spanned.any(axis=0)
+    loose[form.coupled] = False
+    loose = np.flatnonzero(loose)
+    squares = [sector.block for sector in form.sectors]
+    squares.append(np.diag(form.diagonal[loose]))
+    spectra = list(form.sector_eigenvalues) + [form.diagonal[loose]]
+    rotated = _rotate(spanned[:, form.coupled], form.rotation)
+    removed = [rotated[:, sector.index] for sector in form.sectors]
+    removed.append(spanned[:, loose])
+    floor = 1e-12 * float(np.linalg.norm(spanned, axis=1).max())
+    reach = np.array([np.linalg.norm(part, axis=1) > floor for part in removed])
+    group = np.arange(len(squares))
+    for column in reach.T:
+        if column.sum() > 1:
+            _join(group, column)
+    values = []
+    for label in np.flatnonzero(group == np.arange(len(group))):
+        members = np.flatnonzero(group == label)
+        if not reach[members].any():  # then the group is one sector alone
+            values.append(spectra[label])
+            continue
+        square = _block_diagonal([squares[i] for i in members])
+        _, singular, vh = np.linalg.svd(
+            np.hstack([removed[i] for i in members]), full_matrices=True)
+        complement = vh[int((singular > floor).sum()):]
+        values.append(np.linalg.eigvalsh(complement @ square @ complement.T))
+    return values, np.concatenate([form.coupled, loose])
 
 
 def hessian_spectrum(
@@ -401,38 +602,26 @@ def hessian_spectrum(
     form is positive definite exactly when no flat ion space exists.
     Eigenvalues with |lambda| <= kernel_rtol * max |lambda| count as kernel.
 
-    Only the coupled block is diagonalised: the coordinates of
-    ``form.coupled`` and, for the constrained subspace, every coordinate
-    where one of the removed directions is nonzero.  Listing those first
-    makes the matrix block diagonal with a diagonal second block, and the
-    constrained subspace is the complement of the removed span inside the
-    coupled coordinates plus every uncoupled one.  The spectrum is
-    therefore the uncoupled diagonal entries together with the eigenvalues
-    of the (projected) coupled block: a permutation similarity, exact
-    rather than approximate.  Neither subspace builds the dense n x n
-    matrix.
+    The spectrum is the uncoupled diagonal entries together with the
+    eigenvalues of each sector of ``form.sectors`` (``sector_eigenvalues``,
+    computed once per form): one small ``eigvalsh`` per Bloch sector of an
+    assembled form, the whole block for a form with the default sector, and
+    never the dense n x n matrix.  The rotation is orthonormal, so this is
+    a similarity, exact up to the rounding-level entries between sectors.
+    On the constrained subspace each translation is the h = 0 Bloch wave of
+    its axis, and the gauge and radial directions touch only uncoupled
+    support coordinates, so the projection runs per group of sectors
+    (see ``_constrained_eigenvalues``); on a form with the one default
+    sector it is the projection of the coupled block widened by those
+    coordinates.
     """
-    index = form.coupled
     if subspace == "constrained":
-        spanned = _removed_directions(form.gs)
-        widened = spanned.any(axis=0)
-        widened[index] = True
-        index = np.flatnonzero(widened)
-        _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
-        rank = int((singular > 1e-12 * singular[0]).sum())
-        complement = vh[rank:]
-        # H on the widened index: its diagonal with the coupled block inside
-        square = np.diag(form.diagonal[index])
-        inner = np.searchsorted(index, form.coupled)
-        square[np.ix_(inner, inner)] = form.block
-        block = complement @ square @ complement.T
+        parts, index = _constrained_eigenvalues(form)
     elif subspace == "full":
-        block = form.block
+        parts, index = list(form.sector_eigenvalues), form.coupled
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
-    eigenvalues = np.sort(np.concatenate([
-        np.delete(form.diagonal, index), np.linalg.eigvalsh(block)
-    ]))
+    eigenvalues = np.sort(np.concatenate([np.delete(form.diagonal, index), *parts]))
     scale = float(np.abs(eigenvalues).max(initial=0.0))
     tolerance = kernel_rtol * max(scale, 1e-300)
     kernel_dim = int((np.abs(eigenvalues) <= tolerance).sum())
@@ -459,9 +648,18 @@ def _displaced_state(gs: GroundState, y: TangentVector, scale: float) -> Crystal
 
 
 def perturbed_state(gs: GroundState, y: TangentVector, delta: float) -> CrystalState:
-    """S + delta Y, then a one-time rescaling of psi back to the charge Q = Z."""
+    """S + delta Y, then a one-time rescaling of psi back to the charge Q = Z.
+
+    A charge that overflows a float would rescale psi to zero, so it is
+    refused; ``evolve`` refuses a state whose energy is not finite.
+    """
     state = _displaced_state(gs, y, delta)
-    q_val = state.psi.charge()
+    with np.errstate(over="ignore"):
+        q_val = state.psi.charge()
+    if not np.isfinite(q_val):
+        raise AdmissibilityError(
+            f"perturbed state at delta = {delta:.6g} has charge {q_val:.3g}: "
+            "|C + delta phi|^2 is not a finite float")
     if q_val <= 0.0:
         raise AdmissibilityError("perturbed state has vanishing charge")
     state.psi.values *= np.sqrt(gs.Z / q_val)

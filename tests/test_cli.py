@@ -248,6 +248,7 @@ def test_cmd_hessian(tmp_path):
     assert report["lambda_min_constrained"] == pytest.approx(0.9434, rel=1e-3)
     assert report["wiener_holds"] is True
     assert report["eigenvalues_head"][0] == pytest.approx(0.0, abs=1e-9)
+    assert report["sector_sizes"] == [7, 7]  # d = 1, N = 2: h = 0 and h = 1
 
 
 def test_cmd_hessian_d3(tmp_path):
@@ -570,6 +571,20 @@ def test_exit_code_missing_density_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(absent) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_overflowing_delta(tmp_path, capsys):
+    # the charge of S + delta Y overflowed: exit 0, with Infinity and NaN in
+    # stability_report.json and Q = 0 rows in trajectories.csv
+    path = tmp_path / "run.ini"
+    write_ini(tmp_path)
+    path.write_text(path.read_text().replace("1e-3, 1e-2", "1e-3, 1e300"))
+    code, out = run_cli(tmp_path, "--config", str(path), "stability")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "charge" in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "stability_report.json").exists()
 
 
 def test_exit_code_capacity(tmp_path, capsys):

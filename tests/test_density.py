@@ -410,6 +410,25 @@ def test_wiener_fold_mixed_axes(kind, spec, points):
                     assert matrix[i, j] == 0.0 and matrix[j, i] == 0.0
 
 
+@pytest.mark.parametrize("spec, h", [
+    (TorusSpec(2, 2, 8), (1, 0)),  # (5, 0) and (3, 4) lie on the shell
+    (TorusSpec(2, 3, 12), (1, 0)),  # (-5, 0) and (4, 3)
+    (TorusSpec(3, 2, 8), (1, 0, 0)),  # (5, 0, 0) and (3, 4, 0)
+], ids=["d2-N2", "d2-N3", "d3-N2"])
+def test_wiener_ball_keeps_its_shell(spec, h):
+    # a radius through lattice points puts shifts exactly on the sphere:
+    # the test on |xi|^2 keeps the set the test on |xi| keeps, since every
+    # |xi|^2 is (2 pi / N)^2 times an integer
+    n = spec.cells_per_axis
+    model = perturbed_box_density(spec)
+    radius = 5.0 * TWO_PI / n  # the shell |h + N m|^2 = 25
+    matrix, _ = wiener_matrix(model, h, radius)
+    expected, _ = _enumerated_wiener_matrix(model, h, radius)
+    assert np.abs(matrix - expected).max() <= 1e-13 * np.abs(expected).max()
+    inside, _ = _enumerated_wiener_matrix(model, h, radius - 1e-6)
+    assert np.abs(matrix - inside).max() > 1e-6 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("spec", [TorusSpec(2, 2, 16), TorusSpec(2, 3, 12)])
 def test_wiener_sampled_not_folded(spec):
     # a Gaussian stretched along the diagonal: |sigma_hat|^2 has a xi_1 xi_2

@@ -359,29 +359,16 @@ def test_hessian_assemble_matches_full_product(gs1d, basis2d, sigma2d_box,
     assert mixture_live.sum() > single_live.sum()
 
 
-def rescan_spectrum(form, subspace, kernel_rtol=1e-9):
-    """Reference: the split spectrum with the coupled coordinates found by
-    rescanning the matrix, a row being coupled when it has a nonzero
-    off-diagonal entry."""
+def rescanned_form(form):
+    """Reference: the form rebuilt from its dense matrix, a row being coupled
+    when it has a nonzero off-diagonal entry, cut into the same sectors."""
     matrix = form.matrix
-    diagonal = np.diagonal(matrix)
-    coupled = np.count_nonzero(matrix, axis=1) > (diagonal != 0)
-    if subspace == "constrained":
-        spanned = removed_directions(form.gs)
-        coupled |= (spanned != 0).any(axis=0)
-        index = np.flatnonzero(coupled)
-        _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
-        rank = int((singular > 1e-12 * singular[0]).sum())
-        complement = vh[rank:]
-        block = complement @ matrix[np.ix_(index, index)] @ complement.T
-    else:
-        index = np.flatnonzero(coupled)
-        block = matrix[np.ix_(index, index)]
-    eigenvalues = np.sort(np.concatenate([
-        diagonal[~coupled], np.linalg.eigvalsh(block)
-    ]))
-    tolerance = kernel_rtol * max(float(np.abs(eigenvalues).max(initial=0.0)), 1e-300)
-    return eigenvalues, int((np.abs(eigenvalues) <= tolerance).sum())
+    diagonal = np.diagonal(matrix).copy()
+    coupled = np.flatnonzero(np.count_nonzero(matrix, axis=1) > (diagonal != 0))
+    block = matrix[np.ix_(coupled, coupled)]
+    sectors = stability._sectors(block, form.rotation,
+                                 [sector.index for sector in form.sectors])
+    return HessianForm(form.gs, diagonal, coupled, block, sectors, form.rotation)
 
 
 def test_spectrum_matches_rescan(gs1d, basis2d, sigma2d_box, sigma2d_perturbed,
@@ -396,12 +383,108 @@ def test_spectrum_matches_rescan(gs1d, basis2d, sigma2d_box, sigma2d_perturbed,
     ]
     for gs in cases:
         form = hessian_assemble(gs)
+        rescanned = rescanned_form(form)
+        assert np.array_equal(rescanned.coupled, form.coupled)
         for subspace in ("full", "constrained"):
             spectrum = hessian_spectrum(form, subspace)
-            eigenvalues, kernel_dim = rescan_spectrum(form, subspace)
-            assert np.array_equal(spectrum.eigenvalues, eigenvalues)
-            assert spectrum.kernel_dim == kernel_dim
-            assert spectrum.lambda_min == eigenvalues.min()
+            reference = hessian_spectrum(rescanned, subspace)
+            assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+            assert spectrum.kernel_dim == reference.kernel_dim
+            assert spectrum.lambda_min == reference.eigenvalues.min()
+
+
+def whole_block_spectrum(form, subspace, kernel_rtol=1e-9):
+    """Reference: one eigvalsh on the whole coupled block.  The constrained
+    block is the projection, on the complement of the removed directions,
+    of the coupled block widened by every coordinate they touch."""
+    index = form.coupled
+    if subspace == "constrained":
+        spanned = removed_directions(form.gs)
+        widened = spanned.any(axis=0)
+        widened[index] = True
+        index = np.flatnonzero(widened)
+        _, singular, vh = np.linalg.svd(spanned[:, index], full_matrices=True)
+        complement = vh[int((singular > 1e-12 * singular[0]).sum()):]
+        square = np.diag(form.diagonal[index])
+        inner = np.searchsorted(index, form.coupled)
+        square[np.ix_(inner, inner)] = form.block
+        block = complement @ square @ complement.T
+    else:
+        block = form.block
+    eigenvalues = np.sort(np.concatenate([
+        np.delete(form.diagonal, index), np.linalg.eigvalsh(block)
+    ]))
+    tolerance = kernel_rtol * max(float(np.abs(eigenvalues).max(initial=0.0)), 1e-300)
+    return eigenvalues, int((np.abs(eigenvalues) <= tolerance).sum())
+
+
+def n3_ground_state():
+    """d = 2, N = 3: the pairs {h, -h} with h != -h take a cosine and a sine
+    wave per axis (B = 65; the sectors are 26 to 32 coordinates)."""
+    spec = TorusSpec(2, 3, 12)
+    _, omega0 = ground_occupations(spec)
+    basis = enumerate_basis(spec, 2.0 * omega0 + 3.0 * (2.0 * np.pi / 3.0) ** 2 + 1e-9)
+    return build_ground_state(basis, perturbed_box_density(spec), r=(0.2, 0.4))
+
+
+SECTOR_CASES = ["gs1d", "flat2d", "perturbed2d", "mixture4", "gs3d", "n3"]
+
+
+def sector_case(case, request, basis2d, sigma2d_box, sigma2d_perturbed):
+    if case == "flat2d":
+        return build_ground_state(basis2d, sigma2d_box)
+    if case == "perturbed2d":
+        return build_ground_state(basis2d, sigma2d_perturbed, r=(0.3, 0.1), alpha=0.7)
+    if case == "mixture4":
+        return mixture_ground_states()[1]
+    if case == "n3":
+        return n3_ground_state()
+    return request.getfixturevalue(case)
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_bloch_sectors_match_whole_block(case, request, basis2d, sigma2d_box,
+                                         sigma2d_perturbed):
+    form = hessian_assemble(sector_case(case, request, basis2d, sigma2d_box,
+                                        sigma2d_perturbed))
+    assert len(form.sectors) > 1
+    for subspace in ("full", "constrained"):
+        split = hessian_spectrum(form, subspace)
+        eigenvalues, kernel_dim = whole_block_spectrum(form, subspace)
+        assert split.eigenvalues.shape == eigenvalues.shape
+        np.testing.assert_allclose(split.eigenvalues, eigenvalues, rtol=0,
+                                   atol=1e-13 * np.abs(eigenvalues).max())
+        assert split.kernel_dim == kernel_dim
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_bloch_sectors_drop_only_rounding(case, request, basis2d, sigma2d_box,
+                                          sigma2d_perturbed):
+    # in the Bloch frame the entries between two sectors are rounding
+    form = hessian_assemble(sector_case(case, request, basis2d, sigma2d_box,
+                                        sigma2d_perturbed))
+    n, rotation = form.coupled.size, form.rotation
+    np.testing.assert_allclose(rotation @ rotation.T, np.eye(len(rotation)),
+                               rtol=0, atol=1e-15)
+    frame = np.eye(n)
+    frame[n - len(rotation):, n - len(rotation):] = rotation
+    rotated = frame @ form.block @ frame.T
+    owner = np.full(n, -1)
+    for label, sector in enumerate(form.sectors):
+        assert (owner[sector.index] == -1).all()
+        owner[sector.index] = label
+        np.testing.assert_allclose(sector.block, rotated[np.ix_(sector.index, sector.index)],
+                                   rtol=0, atol=1e-14 * np.abs(form.block).max())
+    assert (owner >= 0).all()
+    dropped = rotated[owner[:, None] != owner[None, :]]
+    assert np.abs(dropped).max() <= 1e-14 * np.abs(form.block).max()
+
+
+def test_mixture_merges_bloch_pairs():
+    # a mixture's coordinates one substitution from both sets span two pairs
+    # {h, -h}, which then share a sector
+    single, mixture = mixture_ground_states()
+    assert len(hessian_assemble(mixture).sectors) < len(hessian_assemble(single).sectors)
 
 
 def test_hessian_benchmark_reference():
@@ -414,6 +497,7 @@ def test_hessian_benchmark_reference():
     full = hessian_spectrum(form, "full")
     constrained = hessian_spectrum(form, "constrained")
     assert "matrix" not in vars(form)  # neither spectrum built the dense matrix
+    assert sorted(len(sector.block) for sector in form.sectors) == [36, 38, 44, 50]
     assert form.size == 2692
     assert form.matrix.shape == (2692, 2692)
     assert full.kernel_dim == 2
@@ -600,6 +684,23 @@ def test_perturbed_state_charge(gs1d):
     assert state.charge() == pytest.approx(gs1d.Z, rel=1e-14)
 
 
+@pytest.mark.parametrize("delta", [1e200, 1e300])
+def test_perturbed_state_refuses_overflowing_charge(gs1d, delta):
+    # |C + delta phi|^2 overflowed, and the rescaling set psi to zero
+    y = sample_tangent_perturbation(gs1d, np.random.default_rng(3))
+    with pytest.raises(AdmissibilityError, match="charge"):
+        perturbed_state(gs1d, y, delta)
+
+
+def test_run_refuses_non_finite_energy(gs1d):
+    # momenta alone keep the charge at Z, but sum p^2 / 2M overflows
+    y = TangentVector(CIVector.zeros(gs1d.basis), np.zeros((2, 1)),
+                      np.array([[1.0], [-1.0]]))
+    assert perturbed_state(gs1d, y, 1e300).charge() == pytest.approx(gs1d.Z)
+    with pytest.raises(AdmissibilityError, match="energy"):
+        run_trajectory(gs1d, y, 1e300, duration=0.01, dt=1e-3)
+
+
 def test_sampled_perturbation_properties(gs1d):
     rng = np.random.default_rng(10)
     y = sample_tangent_perturbation(gs1d, rng)
@@ -644,6 +745,24 @@ def test_perturbed_trajectory_bounded(gs1d):
     assert record.distance[0] == pytest.approx(delta, rel=0.1)
     assert record.sup_distance <= 10.0 * delta
     assert record.max_charge_drift() <= 1e-12
+
+
+def test_cutoff_convergence_d1(spec1d, sigma1d, gs1d):
+    # one perturbation of the 8 pi^2 basis, embedded into the 16 pi^2 and
+    # 48 pi^2 bases (B = 22 and 68), gives the same distance at T = 2
+    y = sample_tangent_perturbation(gs1d, np.random.default_rng(5))
+    sizes, finals = [], []
+    for budget in (16.0, 48.0):
+        basis = enumerate_basis(spec1d, budget * np.pi**2)
+        phi = np.zeros(basis.size, dtype=complex)
+        phi[[basis.index[occ] for occ in gs1d.basis.sets]] = y.phi.values
+        embedded = TangentVector(CIVector(basis, phi), y.kappa, y.pi)
+        record = run_trajectory(build_ground_state(basis, sigma1d), embedded, 1e-2,
+                                duration=2.0, dt=2e-3)
+        sizes.append(basis.size)
+        finals.append(record.final_distance)
+    assert sizes == [22, 68]
+    assert abs(finals[0] - finals[1]) <= 1e-8
 
 
 def test_stability_experiment_structure(gs1d):
