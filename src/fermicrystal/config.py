@@ -225,6 +225,13 @@ def validate_config(cfg: RunConfig) -> None:
     s = cfg.stability
     if any(d < 0 for d in s.deltas) or not s.deltas:
         raise ConfigError("[stability] deltas must be a nonempty list of nonnegative values")
+    # a sampled direction has |kappa| <= |Y|_V = 1, so no ion moves more than
+    # delta; at half a lattice period the distance to the orbit wraps
+    half = 0.5 * m.cells_per_axis
+    if max(s.deltas) >= half:
+        raise ConfigError(
+            f"[stability] deltas must stay below half a lattice period, "
+            f"N / 2 = {half:g}, got {max(s.deltas):g}")
     if s.n_perturbations < 0:
         raise ConfigError("[stability] n_perturbations must be nonnegative")
     if cfg.output.stride < 1:

@@ -24,30 +24,28 @@ hyperplanes off gamma*, so positivity fails.  The perturbed box adds a
 strictly positive bump off gamma*, restoring positivity while keeping the
 crystal condition and the total charge.
 
-The shifted lattice theta + 2 pi Z^d is the product of the d lattices
-theta_i + 2 pi Z, and the closed-form transforms are built from per-axis
-factors (a product of box profiles, a sum of per-axis bumps, a product of
-envelopes), so Sigma(theta) is summed on a product grid from 1-d tables.
-Its entries sum_xi w(xi) xi_i xi_j, with w = |sigma_hat|^2 / |xi|^2, are
-then the one- and two-axis marginals of w against the 1-d coordinates.
+The closed-form sigma_hat is a sum of R per-axis products: e Z prod_i b
+for the box (R = 1), plus e Z amplitude prod_i e sum_j s_j for the
+perturbed box (R = d + 1; b the box profile, e the envelope, s the bump
+term sin^2(xi_i / 2)).  So |sigma_hat|^2 = sum_p C_p prod_i G_{p,i}(xi_i)
+over R (R + 1) / 2 pairs of products (10 for the perturbed box at
+d = 3).  Sigma(theta), summed over theta + 2 pi Z^d, the product of the
+1-d lattices theta_i + 2 pi Z, is then a contraction of the kernel
+1/|xi|^2 on the truncation ball against 1-d tables x^t G(x), t = 0, 1,
+2: the sum factorisation of tensor-product spectral methods (Orszag,
+J. Comput. Phys. 37 (1980) 70).  The tables are built once per scan;
+each point costs one kernel grid, one GEMM and a few small contractions.
 
-The closed-form kinds (box and perturbed box) are even in each axis on its
-own.  Where theta_i is 0 or pi (2 h_i = 0 mod N) the reflection
-xi_i -> -xi_i maps the shifts of that axis onto themselves, so the axis is
-folded: summed over xi_i >= 0 with weight 2 (weight 1 at xi_i = 0), and
-every off-diagonal entry on it is exactly 0.  At N = 2 every axis of every
-point is folded and the grid is about 1/2^d of the cube.  Sampled kinds
-(grid, fourier) are never folded: a sampled density need not be even per
-axis.
-
-A closed-form sigma_hat is also symmetric under axis permutations (one k,
-one amplitude, one decay for every axis), and the torus has one N.  So
-for a signed axis permutation S, which maps theta + 2 pi Z^d onto
-S theta + 2 pi Z^d and keeps |xi| and the ball, Sigma(S theta) =
-S Sigma(theta) S^T term by term.  The Wiener scan sums Sigma once per
-orbit of the dual cell under these maps, about N^d / (2^d d!) sums, and
-builds every other point's matrix by that similarity: at d = 3, N = 2 the
-7 points fall into 3 orbits.  Sampled kinds are summed at every point.
+The closed-form kinds are even in each axis on its own.  Where theta_i is
+0 or pi (2 h_i = 0 mod N) the reflection xi_i -> -xi_i maps the shifts of
+that axis onto themselves, so the axis is folded: summed over xi_i >= 0
+with the weight 2 (1 at xi_i = 0), and every off-diagonal entry on it is
+exactly 0.  They are also symmetric under axis permutations (one k, one
+amplitude, one decay), so for a signed axis permutation S, which keeps
+|xi| and the ball, Sigma(S theta) = S Sigma(theta) S^T: the Wiener scan
+sums once per orbit of the dual cell (3 sums for the 7 points at d = 3,
+N = 2) and maps the other points.  Sampled kinds (grid, fourier) need
+neither symmetry: they are summed on the product grid at every point.
 """
 
 from __future__ import annotations
@@ -77,18 +75,20 @@ def box_profile_transform(s: np.ndarray, k: int) -> np.ndarray:
     return np.sinc(np.asarray(s, dtype=float) / TWO_PI) ** k
 
 
-# The transforms below run on the Wiener scan's full product grids, where
-# every fresh full-size temporary costs its first touch page by page, so
-# they update their few full-size arrays in place.  Each in-place step is
-# the same IEEE operation as the expression charge * (box + amplitude *
-# bump * envelope), operands swapped only where that is exact.
+def _envelope_factor(s: np.ndarray) -> np.ndarray:
+    """1 / (1 + (s / 2 pi)^2): one axis of the bump's envelope, before ** decay."""
+    return 1.0 / (1.0 + (s / TWO_PI) ** 2)
+
+
+def _bump_term(s: np.ndarray) -> np.ndarray:
+    """sin^2(s / 2): one axis's term of the bump, 0 exactly on 2 pi Z."""
+    return np.sin(s / 2.0) ** 2
+
 
 def _box_transform(axes, k: int, charge: float) -> np.ndarray:
     # ``axes`` holds one coordinate array per axis; they broadcast together,
     # so the columns of an (n, d) array and reshaped 1-d axes both work.
-    value = math.prod(box_profile_transform(a, k) for a in axes)
-    value *= charge
-    return value
+    return math.prod(box_profile_transform(a, k) for a in axes) * charge
 
 
 def _perturbed_box_transform(
@@ -97,15 +97,10 @@ def _perturbed_box_transform(
     # The bump sum_i sin^2(xi_i / 2) vanishes exactly on gamma* and nowhere
     # else; the per-axis algebraic decay keeps |sigma_hat| <= C / |xi|^2.
     axes = [np.asarray(a, dtype=float) for a in axes]
-    value = math.prod(1.0 / (1.0 + (a / TWO_PI) ** 2) for a in axes)
-    value **= decay  # the envelope
-    bump = sum(np.sin(a / 2.0) ** 2 for a in axes)
-    bump *= amplitude
-    value *= bump
-    del bump  # its block is free for the box product
-    value += math.prod(box_profile_transform(a, k) for a in axes)
-    value *= charge
-    return value
+    envelope = math.prod(_envelope_factor(a) for a in axes) ** decay
+    bump = sum(_bump_term(a) for a in axes)
+    box = math.prod(box_profile_transform(a, k) for a in axes)
+    return charge * (box + amplitude * bump * envelope)
 
 
 @dataclass(eq=False)
@@ -455,6 +450,161 @@ def _lattice_ball_tail(radius: float, dimension: int) -> float:
     return exact + beyond
 
 
+def _axis_lattice(t: float, radius: float, fold: bool) -> np.ndarray:
+    """The shifts t + 2 pi m with |t + 2 pi m| <= R, only those >= 0 if
+    ``fold``: the truncation ball reaches no other shift of the axis."""
+    m_max = int(np.ceil((radius + abs(t)) / TWO_PI)) + 1
+    axis = t + TWO_PI * np.arange(0 if fold else -m_max, m_max + 1)
+    return axis[np.abs(axis) <= radius + 1e-12]
+
+
+def _axis_factors(model: IonDensityModel, x: np.ndarray) -> np.ndarray:
+    """The per-axis factors F of a closed-form sigma_hat at x, stacked: the
+    box profile, and for the perturbed box the envelope and the envelope
+    times the bump term."""
+    if model.kind == "box":
+        (k,) = model.params
+        return box_profile_transform(x, k)[None]
+    k, _, decay = model.params
+    envelope = _envelope_factor(x) ** decay
+    return np.stack([box_profile_transform(x, k), envelope, envelope * _bump_term(x)])
+
+
+def _rank_pairs(model: IonDensityModel) -> tuple[np.ndarray, np.ndarray]:
+    """(C, index) with |sigma_hat(xi)|^2 = sum_p C_p prod_i G[index[i, p]](xi_i).
+
+    sigma_hat = sum_r c_r prod_i F[row(i, r)](xi_i): the product of box
+    profiles, and for the perturbed box d more terms, amplitude times the
+    envelope on every axis times the bump term on axis r.  p runs over the
+    pairs r <= r', C_p = c_r c_r' doubled off the diagonal, and G holds the
+    products of every two of the m factors, flattened to m m rows.
+    """
+    d = model.spec.dimension
+    c, rows = [model.charge], [[0]] * d
+    if model.kind == "perturbed_box":
+        c += [model.charge * model.params[1]] * d
+        rows = [[0] + [2 if j == i else 1 for j in range(d)] for i in range(d)]
+    pairs = [(r, t) for r in range(len(c)) for t in range(r, len(c))]
+    coefficients = np.array([c[r] * c[t] * (1.0 if r == t else 2.0) for r, t in pairs])
+    m = 1 + max(map(max, rows))
+    return coefficients, np.array([[row[r] * m + row[t] for r, t in pairs] for row in rows])
+
+
+def _rank_tables(model: IonDensityModel, values, truncation_radius: float) -> tuple:
+    """(C, index, {v: (x^2, table)}) on the axis indices ``values``, once per scan.
+
+    ``table`` (3, m m, len(x)) is x^t G on the shifts x of an axis with
+    index v, t = 0, 1, 2.  Where 2 v = 0 mod N (theta_i in {0, pi}) the
+    axis is folded: sigma_hat, |xi| and the ball are even in xi_i, so only
+    x >= 0 is kept, its weight 2 (1 at x = 0) exact in the table.
+    """
+    n = model.spec.cells_per_axis
+    axes = {}
+    for v in values:
+        fold = 2 * v % n == 0
+        x = _axis_lattice((TWO_PI / n) * v, truncation_radius, fold)
+        factors = _axis_factors(model, x)
+        m = len(factors)
+        table = np.empty((3, m * m, x.size))
+        np.multiply(factors[:, None], factors, out=table[0].reshape(m, m, -1))
+        if fold:
+            table[0] *= np.where(x == 0.0, 1.0, 2.0)
+        square = x * x
+        np.multiply(table[0], x, out=table[1])
+        np.multiply(table[0], square, out=table[2])
+        axes[v] = square, table
+    return (*_rank_pairs(model), axes)
+
+
+def _separable_sum(tables: tuple, h: tuple, n: int, truncation_radius: float) -> np.ndarray:
+    """Sigma(theta) at the dual-cell index h by separable factors.
+
+    Sigma_ab = sum_p C_p sum_xi K(xi) xi_a xi_b prod_i G_{p,i}(xi_i), with
+    K = 1/|xi|^2 on the ball and 0 off it: one GEMM contracts K's last axis
+    against its tables for every pair and power, each further axis one
+    batched product that adds its power.  The moments of total power 2 are
+    the entries; an off-diagonal one on a folded axis is odd in that axis,
+    an exact 0.
+    """
+    coefficients, index, axes = tables
+    d, p = len(h), coefficients.size
+    squares = [axes[v][0] for v in h]
+    shape = tuple(s.size for s in squares)
+    xi_sq = sum(s.reshape((-1,) + (1,) * (d - 1 - i)) for i, s in enumerate(squares))
+    # xi = 0 lies on no grid off gamma*, and no |xi|^2, (2 pi / N)^2 times an
+    # integer, lies within rounding of (R + 1e-12)^2: the ball's mask over
+    # |xi|^2 is K
+    kernel = np.divide(xi_sq <= (truncation_radius + 1e-12) ** 2, xi_sq, out=xi_sq)
+    parts = [axes[v][1][:, index[i]] for i, v in enumerate(h)]
+    moments = parts[-1].reshape(3 * p, -1) @ kernel.reshape(-1, shape[-1]).T
+    for i in reversed(range(d - 1)):
+        moments = moments.reshape(-1, p, math.prod(shape[:i]), shape[i])
+        moments = (moments @ parts[i].transpose(1, 2, 0)).transpose(3, 0, 1, 2)
+    # indexed by the powers (t_0, ..., t_{d-1}) in base 3, t_0 the highest digit
+    moments = moments.reshape(-1, p) @ coefficients
+    folded = [2 * v % n == 0 for v in h]
+    matrix = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            if a == b or not (folded[a] or folded[b]):
+                matrix[a, b] = matrix[b, a] = moments[3 ** (d - 1 - a) + 3 ** (d - 1 - b)]
+    return matrix
+
+
+def _sampled_sum(model: IonDensityModel, h: tuple, truncation_radius: float):
+    """(Sigma(theta), tail bound) of a sampled density, summed on the grid.
+
+    A sampled transform exists only on the retained set: the truncation is
+    clamped to the largest ball the per-axis alias clip keeps intact, and
+    the tail models the continuation by |sigma_hat(xi)| <= C / |xi|^2 with
+    C fitted on the outer half.
+    """
+    spec = model.spec
+    d, n = spec.dimension, spec.cells_per_axis
+    clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
+    truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
+    theta = spec.xi(np.asarray(h))
+    axes = [_axis_lattice(t, truncation_radius, False).reshape((-1,) + (1,) * (d - 1 - i))
+            for i, t in enumerate(theta)]
+    xi_sq = sum(a**2 for a in axes)
+    # |xi|^2 is (2 pi / N)^2 times an integer, so no |xi|^2 lies within
+    # rounding of (R + 1e-12)^2: this keeps the points |xi| <= R + 1e-12 keeps
+    keep = (xi_sq <= (truncation_radius + 1e-12) ** 2) & (xi_sq > 1e-24)
+    kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
+    amp2 = np.zeros(keep.shape)
+    amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
+    r = np.sqrt(xi_sq)
+    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w;
+    # xi_sq is not read again, so w takes its place (finite, so the mask
+    # zeroes the dropped entries exactly)
+    w = np.divide(amp2, xi_sq, out=xi_sq, where=keep)
+    w *= keep
+    coords = [a.ravel() for a in axes]
+    matrix = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            marginal = w.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
+            matrix[i, j] = matrix[j, i] = (
+                coords[i] ** 2 @ marginal if i == j else coords[i] @ marginal @ coords[j]
+            )
+    outer = keep & (r > 0.5 * truncation_radius)
+    if outer.any():
+        c_decay = float((np.sqrt(amp2[outer]) * r[outer] ** 2).max())
+    else:
+        c_decay = float(abs(model.charge))
+    return matrix, c_decay**2 * _lattice_ball_tail(truncation_radius, spec.dimension)
+
+
+def _orbit_sum(model: IonDensityModel, h: tuple, truncation_radius: float,
+               tables: Optional[tuple]):
+    """(Sigma(theta), tail bound) at the dual-cell index h, one call per orbit:
+    from the scan's rank tables, or on the grid for a sampled kind (None)."""
+    if tables is None:
+        return _sampled_sum(model, h, truncation_radius)
+    matrix = _separable_sum(tables, h, model.spec.cells_per_axis, truncation_radius)
+    return matrix, _spectral_tail_bound(model, truncation_radius)
+
+
 def wiener_matrix(
     model: IonDensityModel,
     theta_h,
@@ -463,18 +613,18 @@ def wiener_matrix(
     """Truncated series Sigma(theta) and a bound on the dropped tail.
 
     ``theta_h`` is the integer index of theta = (2 pi / N) h; points of
-    gamma* (h = 0 mod N) are outside the domain and raise.  Closed-form
-    densities get the rigorous per-axis tail bound; sampled kinds clamp the
-    truncation to the retained cutoff and model the unknown continuation by
-    |sigma_hat(xi)| <= C / |xi|^2 with C fitted on the outer half.
+    gamma* (h = 0 mod N) are outside the domain and raise.  The series is
+    2 pi Z^d periodic, so it is summed at h mod N.
 
-    For closed-form kinds every axis with theta_i in {0, pi} is folded by
-    its reflection: only the shifts with xi_i >= 0 are summed, weighted 2
-    (1 at xi_i = 0), and the off-diagonal entries on that axis are written
-    as exact zeros.  The ball is symmetric, so this is the full sum up to
-    rounding, and the tail bound is unchanged.  Sampled kinds sum the
-    whole grid.  Every kind's grid keeps on each axis only the shifts with
-    |xi_i| <= R, the ones the truncation ball can reach.
+    Closed-form kinds are summed by the rank expansion of |sigma_hat|^2:
+    sigma_hat is a sum of R per-axis products (R = 1 for the box, d + 1 for
+    the perturbed box), so Sigma_ab = sum_p C_p sum_xi (xi_a xi_b / |xi|^2)
+    prod_i G_{p,i}(xi_i) over the R (R + 1) / 2 pairs p, one contraction
+    of the kernel 1/|xi|^2 on the ball against 1-d tables.  Axes with
+    theta_i in {0, pi} are folded onto xi_i >= 0, their off-diagonal
+    entries exact zeros.  The tail bound is the rigorous per-axis one.
+    Sampled kinds sum |sigma_hat|^2 xi xi^T / |xi|^2 on the product grid,
+    with the fitted tail model of the retained cutoff.
     """
     spec = model.spec
     d, n = spec.dimension, spec.cells_per_axis
@@ -485,69 +635,9 @@ def wiener_matrix(
         raise FrequencyDomainError(
             f"theta = (2 pi / N) {tuple(h0)} lies on gamma*; Sigma is defined off it"
         )
-    if not model.closed_form:
-        # Sampled transforms exist only on the retained set; stay inside the
-        # largest ball the per-axis alias clip keeps intact.
-        clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
-        truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
-    # Sigma is 2 pi Z^d periodic: sum over the shifts of the dual-cell theta
-    h = h0 % n
-    theta = spec.xi(h)
-    m_max = int(np.ceil((truncation_radius + np.linalg.norm(theta)) / TWO_PI)) + 1
-    shifts = TWO_PI * np.arange(-m_max, m_max + 1)
-    # an axis with theta_i in {0, pi} maps its shifts onto themselves under
-    # xi_i -> -xi_i, which keeps a closed-form sigma_hat, |xi| and the ball:
-    # sum it over xi_i >= 0 with weight 2 (1 at xi_i = 0)
-    folded = model.closed_form & (2 * h % n == 0)
-    # axis i of the product grid holds the theta_i + 2 pi m_i inside the
-    # ball's extent; |xi_i| > R puts |xi| > R, so the cut drops no kept term
-    axes = []
-    for i, (t, fold) in enumerate(zip(theta, folded)):
-        axis = t + (shifts[m_max:] if fold else shifts)
-        axis = axis[np.abs(axis) <= truncation_radius + 1e-12]
-        axes.append(axis.reshape((-1,) + (1,) * (d - 1 - i)))
-    xi_sq = sum(a**2 for a in axes)
-    # |xi|^2 is (2 pi / N)^2 times an integer, so no |xi|^2 lies within
-    # rounding of (R + 1e-12)^2: this keeps the points |xi| <= R + 1e-12 keeps
-    keep = (xi_sq <= (truncation_radius + 1e-12) ** 2) & (xi_sq > 1e-24)
-    if model.closed_form:
-        amp2 = np.square(model._transform(axes))  # real: |x|^2 = x * x exactly
-    else:
-        kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
-        amp2 = np.zeros(keep.shape)
-        amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
-        r = np.sqrt(xi_sq)
-    if folded.any():
-        # the mirror image of each xi_i > 0, as one factor of 1s, 2s and 4s:
-        # exact, so the same bits as one pass per folded axis
-        amp2 *= math.prod(np.where(a == 0.0, 1.0, 2.0) for a, fold in zip(axes, folded)
-                          if fold)
-    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w;
-    # xi_sq is not read again, so w takes its place (finite, so the mask
-    # zeroes the dropped entries exactly)
-    w = np.divide(amp2, xi_sq, out=xi_sq, where=keep)
-    w *= keep
-    coords = [a.ravel() for a in axes]
-    matrix = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            if i != j and (folded[i] or folded[j]):
-                continue  # xi_i xi_j is odd in the folded axis: the entry is 0
-            marginal = w.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
-            matrix[i, j] = matrix[j, i] = (
-                coords[i] ** 2 @ marginal if i == j else coords[i] @ marginal @ coords[j]
-            )
-
-    if model.closed_form:
-        tail = _spectral_tail_bound(model, truncation_radius)
-    else:
-        outer = keep & (r > 0.5 * truncation_radius)
-        if outer.any():
-            c_decay = float((np.sqrt(amp2[outer]) * r[outer] ** 2).max())
-        else:
-            c_decay = float(abs(model.charge))
-        tail = c_decay**2 * _lattice_ball_tail(truncation_radius, spec.dimension)
-    return matrix, tail
+    h = tuple(int(c) for c in h0 % n)
+    tables = _rank_tables(model, set(h), truncation_radius) if model.closed_form else None
+    return _orbit_sum(model, h, truncation_radius, tables)
 
 
 def wiener_report(
@@ -562,19 +652,17 @@ def wiener_report(
     kernel_rtol * trace(Sigma) + tail_bound count as zero.  ``wiener_holds``
     says every point is positive definite at that tolerance.
 
-    Closed-form kinds call ``wiener_matrix`` once per orbit of the dual
-    cell under signed axis permutations.  With v = h mod N, each axis is
-    reflected to r_i = min(v_i, N - v_i) (sign s_i = -1 where v_i > r_i)
-    and the axes are sorted stably; the sorted r is the orbit's
-    representative, itself a dual-cell point, and Sigma(h) is
-    s s^T * Sigma(representative) with rows and columns put back in h's
-    axis order.  The similarity is exact, so this is the direct sum up to
-    rounding; the tail bound is the representative's.  The representative
-    is diagonalised once: its orbit mates share its eigenvalues, and their
-    eigenvectors are its own, permuted and signed the same way.  Sampled
-    kinds need not share the symmetry and get one ``wiener_matrix`` call and
-    one diagonalization per point.  The tolerance and the flat space stay
-    per point.
+    Closed-form kinds are summed once per orbit of the dual cell under
+    signed axis permutations, from rank tables built once per scan.  Each
+    axis is reflected to r_i = min(h_i, N - h_i) (sign s_i = -1 where
+    h_i > r_i) and the axes are sorted stably; the sorted r is the orbit's
+    representative, a dual-cell point, and Sigma(h) is s s^T *
+    Sigma(representative) with rows and columns put back in h's axis
+    order, exact up to rounding.  One stacked ``eigh`` diagonalises the
+    representatives; orbit mates share the eigenvalues and get the
+    eigenvectors permuted and signed the same way.  Sampled kinds need not
+    share the symmetry: every point is its own orbit.  The tolerance and
+    the flat space stay per point.
 
     The flat space collects the real lattice vector fields
     v(n) = Re / Im of exp(-i theta n) v_hat with Sigma(theta) v_hat = 0;
@@ -583,66 +671,57 @@ def wiener_report(
     dimension is the rank of the stacked vectors, by singular values.
     """
     spec = model.spec
-    n = spec.cells_per_axis
+    n, d = spec.cells_per_axis, spec.dimension
     ions = lattice_points(spec)
-    points = []
-    holds = True
-    tolerance = 0.0
-    tail_used = 0.0
+    cell = ions[1:]  # the dual cell {0..N-1}^d without its first point, the origin
+    if model.closed_form:
+        # theta = S theta_canon for a signed axis permutation S, and
+        # Sigma(S theta) = S Sigma(theta) S^T
+        reflected = np.minimum(cell, n - cell)
+        signs = np.where(cell == reflected, 1.0, -1.0)
+        perm = reflected.argsort(axis=1, kind="stable")
+        canon = reflected[np.arange(len(cell))[:, None], perm]
+        inv = perm.argsort(axis=1)
+    else:
+        canon, signs, inv = cell, np.ones(cell.shape), np.broadcast_to(np.arange(d), cell.shape)
+    orbits = {}  # representative -> its position, in order of first appearance
+    which = np.array([orbits.setdefault(c, len(orbits)) for c in map(tuple, canon.tolist())])
+    tables = (_rank_tables(model, {v for c in orbits for v in c}, truncation_radius)
+              if model.closed_form else None)
+    sums = [_orbit_sum(model, c, truncation_radius, tables) for c in orbits]
+    bases = np.stack([matrix for matrix, _ in sums])
+    eigenvalues, vectors = np.linalg.eigh(bases)
+    # rows and columns back in each point's axis order, then signed
+    rows, columns = inv[:, :, None], inv[:, None, :]
+    matrices = signs[:, :, None] * signs[:, None, :] * bases[which[:, None, None], rows, columns]
+    vectors = signs[:, :, None] * vectors[which[:, None], inv]
+    eigenvalues = eigenvalues[which]
+    tails = np.array([tail for _, tail in sums])[which]
+    ktol = kernel_rtol * matrices.trace(axis1=1, axis2=2) + tails
+    kernel = eigenvalues <= ktol[:, None]
+    kernel_dims = kernel.sum(axis=1).tolist()
+    points = [
+        WienerPoint(h, theta, matrix, values, dim, basis[:, flat])
+        for h, theta, matrix, values, dim, basis, flat in zip(
+            map(tuple, cell.tolist()), spec.xi(cell), matrices, eigenvalues,
+            kernel_dims, vectors, kernel)
+    ]
     degenerate_rows = []
     seen_pairs = set()
-    bases = {}  # closed-form Sigma and its eigh per orbit representative
-    # the dual cell {0..N-1}^d without its first point, the origin
-    for h in map(tuple, ions[1:].tolist()):
-        if model.closed_form:
-            # theta = S theta_canon for a signed axis permutation S, and
-            # Sigma(S theta) = S Sigma(theta) S^T: sum and diagonalise the
-            # orbit once; S maps the eigenvectors, the eigenvalues stay
-            v = np.asarray(h) % n
-            r = np.minimum(v, n - v)
-            signs = np.where(v == r, 1.0, -1.0)
-            perm = np.argsort(r, kind="stable")
-            canon = tuple(int(x) for x in r[perm])
-            if canon not in bases:
-                base, tail = wiener_matrix(model, canon, truncation_radius)
-                bases[canon] = base, tail, np.linalg.eigh(base)
-            base, tail, (eigenvalues, vectors) = bases[canon]
-            inv = np.argsort(perm)
-            matrix = np.outer(signs, signs) * base[np.ix_(inv, inv)]
-            vectors = signs[:, None] * vectors[inv]
-        else:
-            matrix, tail = wiener_matrix(model, h, truncation_radius)
-            eigenvalues, vectors = np.linalg.eigh(matrix)
-        ktol = kernel_rtol * float(np.trace(matrix)) + tail
-        tolerance = max(tolerance, ktol)
-        tail_used = max(tail_used, tail)
-        kernel = eigenvalues <= ktol
-        kernel_dim = int(kernel.sum())
-        points.append(
-            WienerPoint(h, spec.xi(np.array(h)), matrix, eigenvalues, kernel_dim,
-                        vectors[:, kernel].copy())
-        )
-        if kernel_dim > 0:
-            holds = False
-        pair = tuple(int(c) for c in (-np.asarray(h)) % n)
+    for p, pair in zip(points, map(tuple, ((-cell) % n).tolist())):
         if pair in seen_pairs:
             continue
-        seen_pairs.add(tuple(h))
-        theta = spec.xi(np.array(h))
-        phase = ions @ theta
-        self_paired = pair == tuple(h)
-        for column in range(kernel_dim):
-            u = vectors[:, kernel][:, column]
-            cos_part = np.cos(phase)[:, None] * u[None, :]
-            degenerate_rows.append(cos_part.ravel())
-            if not self_paired:
-                sin_part = np.sin(phase)[:, None] * u[None, :]
-                degenerate_rows.append(sin_part.ravel())
+        seen_pairs.add(p.h)
+        phase = ions @ p.theta
+        for u in p.kernel_basis.T:
+            degenerate_rows.append((np.cos(phase)[:, None] * u[None, :]).ravel())
+            if pair != p.h:
+                degenerate_rows.append((np.sin(phase)[:, None] * u[None, :]).ravel())
     if degenerate_rows:
         stacked = np.stack(degenerate_rows)
         singular = np.linalg.svd(stacked, compute_uv=False)
         degeneracy_dim = int((singular > 1e-9 * singular[0]).sum())
     else:
         degeneracy_dim = 0
-    return WienerReport(points, holds, degeneracy_dim, truncation_radius,
-                        tolerance, tail_used)
+    return WienerReport(points, not any(kernel_dims), degeneracy_dim, truncation_radius,
+                        float(ktol.max()), float(tails.max()))

@@ -240,6 +240,31 @@ def _removed_directions(gs: GroundState) -> np.ndarray:
     return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
 
 
+def _removed_support(gs: GroundState) -> tuple:
+    """The rows of ``_removed_directions`` on the packed coordinates they touch.
+
+    Returns ``(support, rows)``, support increasing, with
+    rows = _removed_directions(gs)[:, support].  The gauge and radial
+    directions live on the support of psi_alpha (its real and imaginary
+    parts), the translations on the ion displacements; every other entry of
+    every row is 0.
+    """
+    b = gs.basis.size
+    d = gs.spec.dimension
+    block = gs.spec.n_ions * d
+    psi = gs.psi_alpha().values
+    ci = np.flatnonzero(psi)
+    psi = psi[ci]
+    gauge = 1j * psi
+    k = ci.size
+    rows = np.zeros((d + 2, 2 * k + block))
+    rows[0, :k], rows[0, k:2 * k] = gauge.real, gauge.imag
+    for axis in range(d):
+        rows[1 + axis, 2 * k + axis::d] = 1.0  # kappa[:, axis] = 1
+    rows[-1, :k], rows[-1, k:2 * k] = psi.real, psi.imag
+    return np.concatenate([ci, b + ci, 2 * b + np.arange(block)]), rows
+
+
 @dataclass(eq=False)
 class LinearizedDensity:
     """First-order charge density response along a perturbation."""
@@ -560,16 +585,22 @@ def _constrained_eigenvalues(form: HessianForm) -> tuple:
     a translation's components off the h = 0 sector are such rounding.  A
     sector no direction reaches keeps the eigenvalues of the full spectrum.
     """
-    spanned = _removed_directions(form.gs)
-    loose = spanned.any(axis=0)
-    loose[form.coupled] = False
-    loose = np.flatnonzero(loose)
+    support, spanned = _removed_support(form.gs)
+    # the support's positions among the coupled coordinates, both increasing
+    at = np.searchsorted(form.coupled, support)
+    coupled = at < form.coupled.size
+    coupled[coupled] = form.coupled[at[coupled]] == support[coupled]
+    loose = support[~coupled]
     squares = [sector.block for sector in form.sectors]
     squares.append(np.diag(form.diagonal[loose]))
     spectra = list(form.sector_eigenvalues) + [form.diagonal[loose]]
-    rotated = _rotate(spanned[:, form.coupled], form.rotation)
+    # column-major, as a column gather of the packed rows is: the rotation's
+    # GEMM then rounds as it does on those
+    on_coupled = np.zeros((len(spanned), form.coupled.size), order="F")
+    on_coupled[:, at[coupled]] = spanned[:, coupled]
+    rotated = _rotate(on_coupled, form.rotation)
     removed = [rotated[:, sector.index] for sector in form.sectors]
-    removed.append(spanned[:, loose])
+    removed.append(spanned[:, ~coupled])
     floor = 1e-12 * float(np.linalg.norm(spanned, axis=1).max())
     reach = np.array([np.linalg.norm(part, axis=1) > floor for part in removed])
     group = np.arange(len(squares))

@@ -573,18 +573,41 @@ def test_exit_code_missing_density_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_exit_code_overflowing_delta(tmp_path, capsys):
-    # the charge of S + delta Y overflowed: exit 0, with Infinity and NaN in
-    # stability_report.json and Q = 0 rows in trajectories.csv
+@pytest.mark.parametrize("delta", ["1e300", "1e155"])
+def test_exit_code_delta_beyond_half_period(tmp_path, capsys, delta):
+    # 1e300 once overflowed the charge of S + delta Y (exit 3); 1e155 ran to
+    # exit 0 with a translation control drifting by 0.08.  No ion may move
+    # half a period (N / 2 = 1 here), so both are configuration errors
     path = tmp_path / "run.ini"
     write_ini(tmp_path)
-    path.write_text(path.read_text().replace("1e-3, 1e-2", "1e-3, 1e300"))
+    path.write_text(path.read_text().replace("1e-3, 1e-2", f"1e-3, {delta}"))
     code, out = run_cli(tmp_path, "--config", str(path), "stability")
-    assert code == 3
+    assert code == 1
     err = capsys.readouterr().err
-    assert "charge" in err and len(err.strip().splitlines()) == 1
+    assert "N / 2 = 1" in err and len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "stability_report.json").exists()
+
+
+@pytest.mark.parametrize("cells, delta, accepted", [
+    (2, 0.999, True),
+    (2, 1.0, False),  # half the period of N = 2
+    (3, 1.49, True),
+    (3, 1.5, False),
+    (2, 1e155, False),
+])
+def test_validate_config_bounds_deltas_by_half_period(cells, delta, accepted):
+    # |Y|_V = 1 moves no ion more than delta, and the orbit distance wraps
+    # at half a lattice period
+    cfg = load_config(None, environ={})
+    cfg.model.cells_per_axis = cells
+    cfg.model.grid_per_axis = 8 * cells
+    cfg.stability.deltas = (1e-3, delta)
+    if accepted:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match=r"\[stability\] deltas .* N / 2"):
+            validate_config(cfg)
 
 
 def test_exit_code_capacity(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,9 @@ from fermicrystal import density
 from fermicrystal.torus import dft_inverse, integer_box, lattice_points
 
 TWO_PI = 2.0 * np.pi
+
+# a divide that no mask guards (1/|xi|^2 at xi = 0, say) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_profile_transform_values():
@@ -179,7 +184,9 @@ def _enumerated_wiener_matrix(model, theta_h, truncation_radius=32.0 * TWO_PI):
     """Sigma(theta) summed row by row over an enumerated box of shifts.
 
     The reference for ``wiener_matrix``: one (K, d) array of frequencies,
-    sigma_hat per row, an einsum of the unit outer products.
+    sigma_hat per row, the unit outer products summed by one GEMM (its
+    blocked sums keep the rounding of a 137k-term sum near 1e-15; an einsum
+    of the products drifts to 4e-14 of the largest entry at d = 3).
     """
     spec = model.spec
     n = spec.cells_per_axis
@@ -195,7 +202,7 @@ def _enumerated_wiener_matrix(model, theta_h, truncation_radius=32.0 * TWO_PI):
     xi, r = xi[keep], r[keep]
     amp2 = np.abs(model.sigma_tilde(xi)) ** 2
     units = xi / r[:, None]
-    matrix = np.einsum("k,ki,kj->ij", amp2, units, units)
+    matrix = (amp2[:, None] * units).T @ units
     matrix = 0.5 * (matrix + matrix.T)
     if model.closed_form:
         return matrix, density._spectral_tail_bound(model, truncation_radius)
@@ -226,11 +233,65 @@ def test_wiener_series_matches_enumeration(d, kind, monkeypatch):
         assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
         assert tail == expected_tail
     fast = wiener_report(model)
-    monkeypatch.setattr(density, "wiener_matrix", lambda m, h, radius: reference[h])
+    monkeypatch.setattr(density, "_orbit_sum", lambda m, h, radius, tables: reference[h])
     slow = density.wiener_report(model)
     assert [p.kernel_dim for p in fast.points] == [p.kernel_dim for p in slow.points]
     assert fast.wiener_holds == slow.wiener_holds
     assert fast.degeneracy_dim == slow.degeneracy_dim
+
+
+def _perturbed_k4(spec):
+    return perturbed_box_density(spec, k=4, amplitude=0.5, decay=0.7)
+
+
+@pytest.mark.parametrize("kind", ["box1", "box2", "perturbed", "perturbed_k4"])
+@pytest.mark.parametrize("spec, points", [
+    pytest.param(spec, points, id=f"d{spec.dimension}-N{spec.cells_per_axis}")
+    for spec, points in [
+        *((spec, None) for spec in WIENER_SPECS.values()),
+        # theta_i in {0, pi} beside pi / 2: folded and full axes
+        (TorusSpec(2, 4, 8), None),
+        (TorusSpec(3, 4, 8), [(2, 1, 0), (1, 3, 2), (3, 3, 1)]),
+        (TorusSpec(3, 3, 9), None),
+    ]
+])
+def test_wiener_separable_sum_matches_enumeration(kind, spec, points):
+    # the rank-expansion contraction against the row-by-row sum, at every
+    # dual-cell point (or the listed ones), with the kernel dimension the
+    # report reads off
+    model = _perturbed_k4(spec) if kind == "perturbed_k4" else WIENER_MODELS[kind](spec)
+    report = wiener_report(model)
+    for p in report.points if points is None else map(report.point, points):
+        matrix, tail = wiener_matrix(model, p.h)
+        expected, expected_tail = _enumerated_wiener_matrix(model, p.h)
+        scale = np.abs(expected).max()
+        assert np.abs(matrix - expected).max() <= 1e-13 * scale
+        assert np.abs(p.matrix - expected).max() <= 1e-13 * scale
+        assert tail == expected_tail
+        ktol = 1e-9 * float(np.trace(expected)) + expected_tail
+        assert p.kernel_dim == int((np.linalg.eigvalsh(expected) <= ktol).sum())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box1", "box2", "perturbed", "perturbed_k4"])
+def test_rank_expansion_reproduces_transform(d, kind):
+    # |sigma_hat|^2 = sum_p C_p prod_i G[index[i, p]](xi_i) on a random
+    # per-axis grid, G the products of every two per-axis factors
+    spec = TorusSpec(d, 2, 8)
+    model = _perturbed_k4(spec) if kind == "perturbed_k4" else WIENER_MODELS[kind](spec)
+    rng = np.random.default_rng(d)
+    axes = [np.sort(rng.uniform(-60.0, 60.0, 5 + i)) for i in range(d)]
+    grids = [a.reshape((-1,) + (1,) * (d - 1 - i)) for i, a in enumerate(axes)]
+    coefficients, index = density._rank_pairs(model)
+    products = []
+    for a in axes:
+        factors = density._axis_factors(model, a)
+        products.append((factors[:, None] * factors).reshape(-1, a.size))
+    expansion = sum(
+        c * math.prod(products[i][index[i, p]].reshape(grids[i].shape) for i in range(d))
+        for p, c in enumerate(coefficients)
+    )
+    np.testing.assert_allclose(expansion, model._transform(grids) ** 2, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["box2", "perturbed"])
@@ -492,22 +553,22 @@ def test_wiener_orbit_map_matches_direct(kind, spec):
         assert p.kernel_dim == int((np.linalg.eigvalsh(direct) <= ktol).sum())
 
 
-def _count_wiener_calls(model, monkeypatch):
+def _count_orbit_sums(model, monkeypatch):
     calls = []
-    inner = density.wiener_matrix
+    inner = density._orbit_sum
 
-    def counted(m, h, radius):
+    def counted(m, h, radius, tables):
         calls.append(tuple(h))
-        return inner(m, h, radius)
+        return inner(m, h, radius, tables)
 
-    monkeypatch.setattr(density, "wiener_matrix", counted)
+    monkeypatch.setattr(density, "_orbit_sum", counted)
     return density.wiener_report(model), calls
 
 
 def test_wiener_report_one_sum_per_orbit(monkeypatch):
     # the analysis benchmark's d = 3 density: 7 points in 3 orbits
     model = perturbed_box_density(TorusSpec(3, 2, 8), k=2, amplitude=0.5, decay=2.0)
-    report, calls = _count_wiener_calls(model, monkeypatch)
+    report, calls = _count_orbit_sums(model, monkeypatch)
     assert len(report.points) == 7
     assert calls == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
 
@@ -515,7 +576,7 @@ def test_wiener_report_one_sum_per_orbit(monkeypatch):
 def test_wiener_report_sampled_per_point(monkeypatch):
     # a sampled density need not share the symmetry: one sum per point
     model = _sampled(perturbed_box_density(TorusSpec(3, 2, 8)))
-    report, calls = _count_wiener_calls(model, monkeypatch)
+    report, calls = _count_orbit_sums(model, monkeypatch)
     assert calls == [p.h for p in report.points] and len(calls) == 7
 
 

@@ -226,6 +226,25 @@ def removed_directions(gs):
     return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
 
 
+@pytest.mark.parametrize("case", ["gs1d", "perturbed2d", "mixture", "gs3d"])
+def test_removed_support_is_removed_directions(case, request, gs1d, basis2d,
+                                               sigma2d_perturbed):
+    # the constrained spectrum reads the removed directions on their
+    # supports: the same entries, and zeros everywhere else
+    gs = {
+        "gs1d": lambda: gs1d,
+        "perturbed2d": lambda: build_ground_state(basis2d, sigma2d_perturbed,
+                                                  r=(0.3, 0.1), alpha=0.7),
+        "mixture": lambda: mixture_ground_states()[1],
+        "gs3d": lambda: request.getfixturevalue("gs3d"),
+    }[case]()
+    support, rows = stability._removed_support(gs)
+    full = removed_directions(gs)
+    assert np.all(np.diff(support) > 0)
+    np.testing.assert_array_equal(rows, full[:, support])
+    assert not np.delete(full, support, axis=1).any()
+
+
 def dense_spectrum(form, subspace, kernel_rtol=1e-9):
     """Reference: diagonalise the whole matrix, or its projection onto the
     full-size SVD complement of the removed directions."""
