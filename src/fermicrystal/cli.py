@@ -86,12 +86,16 @@ class ArtifactWriter:
         # one row template, from the first row's cell kinds: "%.17g" % cell
         # is format(cell, ".17g"), a single % per row instead of one per cell
         rows = list(rows)
-        lines = [",".join(header)]
+        lines = []
         if rows:
             template = ",".join("%s" if isinstance(cell, str) else "%.17g"
                                 for cell in rows[0])
-            lines.extend(template % tuple(row) for row in rows)
-        data = ("\n".join(lines) + "\n").encode()
+            lines = [template % tuple(row) for row in rows]
+        return self.write_lines(name, header, lines)
+
+    def write_lines(self, name: str, header, lines: list) -> str:
+        """A CSV of rows already formatted as ``write_csv`` formats them."""
+        data = ("\n".join([",".join(header)] + lines) + "\n").encode()
         return self._store(name, data)
 
     def _store(self, name: str, data: bytes) -> str:
@@ -122,11 +126,39 @@ class ArtifactWriter:
         return path
 
 
+TRAJECTORY_HEADER = ("label", "delta", "t", "distance", "E", "Q")
+
+
 def _strided(length: int, stride: int):
     indices = list(range(0, length, stride))
     if indices and indices[-1] != length - 1:
         indices.append(length - 1)
     return indices
+
+
+def _trajectory_lines(records, stride: int) -> list:
+    """The rows of ``trajectories.csv``, each the line that ``write_csv``
+    makes of (label, delta, t, distance, E, Q) at every ``stride``-th step.
+
+    The records of a sweep share one t grid, and every row of a record
+    starts with its label and delta, so each grid and each prefix is
+    formatted once.
+    """
+    grids = {}  # t as bytes -> (picks, formatted t cells)
+    lines = []
+    for record in records:
+        key = record.t.tobytes()
+        grid = grids.get(key)
+        if grid is None:
+            picks = _strided(len(record.t), stride)
+            grid = grids[key] = (picks, ["%.17g" % t for t in record.t[picks].tolist()])
+        picks, t_cells = grid
+        prefix = "%s,%.17g," % (record.label, record.delta)
+        lines.extend("%s%s,%.17g,%.17g,%.17g" % (prefix, t, distance, e, q)
+                     for t, distance, e, q in zip(t_cells, record.distance[picks].tolist(),
+                                                  record.energy[picks].tolist(),
+                                                  record.charge[picks].tolist()))
+    return lines
 
 
 def cmd_density(cfg: RunConfig, writer: ArtifactWriter) -> int:
@@ -245,24 +277,17 @@ def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
         duration=s.duration, dt=s.dt, seed=seed, method=s.method,
         fp_tol=s.fp_tol, include_controls=s.include_controls, workers=workers,
         max_iterations=cfg.dynamics.max_iterations)
-    rows = []
-    summary_rows = []
-    for record in result.records:
-        picks = _strided(len(record.t), cfg.output.stride)
-        columns = (record.t[picks].tolist(), record.distance[picks].tolist(),
-                   record.energy[picks].tolist(), record.charge[picks].tolist())
-        rows.extend((record.label, record.delta) + cells for cells in zip(*columns))
-        summary_rows.append({
-            "label": record.label,
-            "delta": record.delta,
-            "sup_distance": record.sup_distance,
-            "final_distance": record.final_distance,
-            "max_energy_drift": record.max_energy_drift(),
-            "max_charge_drift": record.max_charge_drift(),
-        })
-    writer.write_csv(
-        "trajectories.csv",
-        ("label", "delta", "t", "distance", "E", "Q"), rows)
+    summary_rows = [{
+        "label": record.label,
+        "delta": record.delta,
+        "sup_distance": record.sup_distance,
+        "final_distance": record.final_distance,
+        "max_energy_drift": record.max_energy_drift(),
+        "max_charge_drift": record.max_charge_drift(),
+    } for record in result.records]
+    writer.write_lines(
+        "trajectories.csv", TRAJECTORY_HEADER,
+        _trajectory_lines(result.records, cfg.output.stride))
 
     form = hessian_assemble(gs)
     full = hessian_spectrum(form, "full")

@@ -36,10 +36,19 @@ Every evaluation goes through a flow plan (``_FlowPlan``): the arrays fixed
 by the basis and sigma, with rho, the right-hand side and the energy
 computed on raw (c, q, p) arrays.  ``evolve`` builds one plan per call.
 The plan's ``ion_phases`` is the one place the phases exp(i xi (n + q(n)))
-are formed (the second variation takes them at q = r), and its Coulomb
-weight is the frequency table's ``coulomb_weight``.  Each step reuses the
-density that the energy of the previous record computed at the same state
-for its first stage evaluation.
+are formed (the second variation takes them at q = r).  They are laid out
+ions first, (n_ions, n_freq), so the ion sum of rho and the force
+contraction run over contiguous frequencies, and they are cos + i sin of a
+real angle, the bits of the complex exp without a complex product.  The
+Coulomb weight is the frequency table's ``coulomb_weight``.
+
+A stage evaluation, ``_rhs_raw``, returns the coupling part of the flow,
+(G, q_dot, p_dot) with G = i e Phi tensor psi, and gathers the source
+coefficients of the substitution entries once for both sparse passes.  The
+midpoint stage needs only G, as above; the splitting iterates on G alone;
+RK4 and the public ``rhs`` add -i K c (``_full_rhs``).  Each step reuses
+the density that the energy of the previous record computed at the same
+state for its first stage evaluation.
 
 ``evolve`` also steps a batch: a sequence of R states on one basis and one
 mass, in lock-step.  The raw arrays then carry a leading row axis (c is
@@ -51,6 +60,9 @@ what sets the cost at the small bases of a sweep.  The observer still
 sees one ``CrystalState`` per row, a copy wrapped without re-running the
 constructors' checks that the batch passed on entry, and the log keeps one
 energy and charge per row, but one residual and iteration count per step.
+A batch observer sees each record once, as the stacked (c, q, p) arrays
+themselves, so a measurement over all rows, such as the stability sweep's
+distance to the ground-state manifold, needs no copies and no re-stacking.
 """
 
 from __future__ import annotations
@@ -154,46 +166,55 @@ class _FlowPlan:
         table = frequency_table(spec)
         self.substitutions = basis.substitutions()
         self.ixi = 1j * table.xi
-        self.ixi_low = self.ixi[: table.zero + 1]  # up to xi = 0: ion_phases
+        # the frequencies up to xi = 0, one column each: ion_phases
+        self.xi_low_t = np.ascontiguousarray(table.xi[: table.zero + 1].T)
         self.sites = lattice_points(spec).astype(float)
-        self.phases_shape = (table.size, spec.n_ions)
+        self.phases_shape = (spec.n_ions, table.size)
         self.sigma_hat = sigma.field.values
         self.conj_sigma_hat = np.conj(sigma.field.values)
         self.coulomb_weight = table.coulomb_weight
         self.kinetic = basis.kinetic
+        self.free = 1j * basis.kinetic  # c_dot = G - free * c
+        self.ie = 1j * sigma.e  # G = ie (Phi tensor psi)
         self.volume = spec.volume
         self.e = sigma.e
 
     def ion_phases(self, q: np.ndarray) -> np.ndarray:
-        """exp(i xi (n + q(n))) as an ([R,] n_freq, n_ions) array.
+        """exp(i xi (n + q(n))) as an ([R,] n_ions, n_freq) array, ions first.
 
         The table is sorted and centrally symmetric, so position
         n_freq - 1 - f holds -xi_f and xi = 0 sits in the middle.  Only the
-        positions up to xi = 0 take an exp; the rest are the conjugates of
-        their mirror positions, the values of exp at -xi (a zero imaginary
-        part may differ in sign).
+        positions up to xi = 0 are computed, as cos + i sin of the real
+        angle xi (n + q(n)), the bits of exp of i times it; the rest are
+        the conjugates of their mirror positions, the values at -xi (a zero
+        imaginary part may differ in sign).
         """
-        low = np.exp(self.ixi_low @ (self.sites + q).swapaxes(-1, -2))
-        split = low.shape[-2]  # positions 0 .. zero
-        phases = np.empty(low.shape[:-2] + self.phases_shape, complex)
-        phases[..., :split, :] = low
+        angle = (self.sites + q) @ self.xi_low_t
+        split = angle.shape[-1]  # positions 0 .. zero
+        phases = np.empty(angle.shape[:-2] + self.phases_shape, complex)
+        low = phases[..., :split]
+        np.cos(angle, out=low.real)
+        np.sin(angle, out=low.imag)
         # positions zero + 1 .. n_freq - 1 mirror zero - 1 .. 0
-        np.conjugate(low[..., -2::-1, :], out=phases[..., split:, :])
+        np.conjugate(low[..., -2::-1], out=phases[..., split:])
         return phases
 
-    def rho(self, c: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Total charge density: electron cloud plus the displaced ion sum."""
-        electrons = -self.e * self.substitutions.transition_values(c, c)
-        return electrons + self.sigma_hat * phases.sum(axis=-1)
+    def rho(self, c: np.ndarray, phases: np.ndarray, gathered=None) -> np.ndarray:
+        """Total charge density: electron cloud plus the displaced ion sum.
 
-    def density(self, c: np.ndarray, q: np.ndarray) -> tuple:
+        ``gathered`` is ``substitutions.gather(c)`` when the caller has it.
+        """
+        electrons = -self.e * self.substitutions.transition_values(c, c, gathered)
+        return electrons + self.sigma_hat * phases.sum(axis=-2)
+
+    def density(self, c: np.ndarray, q: np.ndarray, gathered=None) -> tuple:
         """The ion phases at q and the total charge density of (c, q)."""
         phases = self.ion_phases(q)
-        return phases, self.rho(c, phases)
+        return phases, self.rho(c, phases, gathered)
 
     def forces(self, phi: np.ndarray, phases: np.ndarray) -> np.ndarray:
         weights = self.ixi * (phi * self.conj_sigma_hat)[..., None]
-        return (phases.conj().swapaxes(-1, -2) @ weights).real / self.volume
+        return (phases.conj() @ weights).real / self.volume
 
     def energy(self, c, rho, p, mass) -> np.ndarray:
         """E of the rows (c, p) whose total charge density is rho."""
@@ -206,15 +227,25 @@ class _FlowPlan:
 
 
 def _rhs_raw(plan: _FlowPlan, c, q, p, mass, density=None):
-    """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays.
+    """The coupling part (G, q_dot, p_dot) of the flow on raw arrays.
 
-    ``density`` is ``plan.density(c, q)`` when the caller already has it.
+    G = i e (Phi tensor psi) is c_dot without its kinetic term: the full
+    c_dot is G - i K c, which ``_full_rhs`` adds.  ``density`` is
+    ``plan.density(c, q)`` when the caller already has it.  The source
+    coefficients of the substitution entries are gathered once, for the
+    density and the potential action both.
     """
-    phases, rho = plan.density(c, q) if density is None else density
+    gathered = plan.substitutions.gather(c)
+    phases, rho = plan.density(c, q, gathered) if density is None else density
     phi = rho * plan.coulomb_weight
-    coupling = plan.substitutions.potential_values(c, phi)
-    c_dot = -1j * (plan.kinetic * c - plan.e * coupling)
-    return c_dot, p / mass, plan.forces(phi, phases)
+    coupling = plan.substitutions.potential_values(c, phi, gathered)
+    return plan.ie * coupling, p / mass, plan.forces(phi, phases)
+
+
+def _full_rhs(plan: _FlowPlan, c, q, p, mass, density=None):
+    """Right-hand side (c_dot, q_dot, p_dot) of the flow on raw arrays."""
+    g, q_dot, p_dot = _rhs_raw(plan, c, q, p, mass, density)
+    return g - plan.free * c, q_dot, p_dot
 
 
 def assemble_rho(state: CrystalState, sigma: IonDensityModel) -> FourierScalarField:
@@ -258,8 +289,8 @@ class StateDerivative:
 def rhs(state: CrystalState, sigma: IonDensityModel) -> StateDerivative:
     """Right-hand side of the coupled flow at the given state."""
     basis = state.psi.basis
-    c_dot, q_dot, p_dot = _rhs_raw(_FlowPlan(basis, sigma), state.psi.values,
-                                   state.ions.q, state.ions.p, state.ions.mass)
+    c_dot, q_dot, p_dot = _full_rhs(_FlowPlan(basis, sigma), state.psi.values,
+                                    state.ions.q, state.ions.p, state.ions.mass)
     return StateDerivative(CIVector(basis, c_dot), q_dot, p_dot)
 
 
@@ -303,6 +334,7 @@ def evolve(
     fp_tol: float = 1e-13,
     max_iterations: int = 50,
     observer: Optional[Callable] = None,
+    batch_observer: Optional[Callable] = None,
 ) -> tuple:
     """Integrate the flow for ``duration`` in steps of ``dt``.
 
@@ -317,6 +349,11 @@ def evolve(
     ``duration`` is rounded to a whole number of steps; negative ``dt``
     integrates backwards.  ``observer(t, state)`` runs at t = 0 and after
     every step, once per row in row order, with a copy of that row's state.
+    ``batch_observer(t, c, q, p)`` runs at the same times, once per record
+    and before the row observers, with the stacked arrays of every row: c
+    of shape (R, B), q and p of shape (R, n_ions, d), R = 1 for a single
+    state.  They are the integrator's own arrays, not copies, so it may
+    only read them, and must not keep them past its return.
     The midpoint stages solve their implicit equation by fixed-point
     iteration to ``fp_tol`` (or the round-off floor), the midpoint method
     with the kinetic term inverted exactly.  Each row stops on its own
@@ -367,6 +404,9 @@ def evolve(
         q_log.append((np.abs(c) ** 2).sum(axis=-1))
         r_log.append(residual)
         i_log.append(iterations)
+        if batch_observer is not None:
+            batch_observer(time, c.reshape(rows, -1), q.reshape(stacked),
+                           p.reshape(stacked))
         if observer is not None:
             cs = c.reshape(rows, -1).copy()
             qs, ps = q.reshape(stacked).copy(), p.reshape(stacked).copy()
@@ -384,21 +424,20 @@ def evolve(
             f"charge {charges[row]:.3g}; both must be finite")
 
     def rhs_of(c_, q_, p_, density_=None):
-        return _rhs_raw(plan, c_, q_, p_, mass, density_)
+        return _full_rhs(plan, c_, q_, p_, mass, density_)
 
-    free = 1j * basis.kinetic
+    free = plan.free
     half_phase = np.exp(-0.5j * dt * basis.kinetic)
     resolvent = 1.0 / (1.0 + 0.5j * dt * basis.kinetic)
 
     def kinetic_exact(c0, cm, qm, pm, density_=None):
-        # R (c_dot + iK (c_mid - c0)) = R (G - iK c0): K inverted exactly
-        c_dot, q_dot, p_dot = rhs_of(cm, qm, pm, density_)
-        return resolvent * (c_dot + free * (cm - c0)), q_dot, p_dot
+        # R (G - iK c0): the kinetic term at X_mid inverted exactly
+        g, q_dot, p_dot = _rhs_raw(plan, cm, qm, pm, mass, density_)
+        return resolvent * (g - free * c0), q_dot, p_dot
 
     def coupling(c0, cm, qm, pm):
         # the non-free part of the flow: (i e Phi tensor psi, p / M, f)
-        c_dot, q_dot, p_dot = rhs_of(cm, qm, pm)
-        return c_dot + free * cm, q_dot, p_dot
+        return _rhs_raw(plan, cm, qm, pm, mass)
 
     def step_midpoint(c_, q_, p_, step, time):
         # the predictor reuses the density that record() computed at X0
@@ -468,10 +507,11 @@ def _fixed_point_midpoint(c, q, p, dt, vector_field, first, fp_tol,
         ca, qa, pa = cm[active], qm[active], pm[active]
         cd, qd, pd = vector_field(c0, ca, qa, pa)
         cn, qn, pn = c0 + h * cd, q0 + h * qd, p0 + h * pd
+        # q and p share a shape: one reduction takes both
         change = np.maximum(
-            np.maximum(np.abs(cn - ca).max(axis=-1, initial=0.0),
-                       np.abs(qn - qa).max(axis=(-2, -1), initial=0.0)),
-            np.abs(pn - pa).max(axis=(-2, -1), initial=0.0))
+            np.abs(cn - ca).max(axis=-1, initial=0.0),
+            np.maximum(np.abs(qn - qa), np.abs(pn - pa)).max(axis=(-2, -1),
+                                                            initial=0.0))
         # the round-off floor: no further contraction is possible
         stop = (change <= fp_tol) | ((change >= 0.9 * last[active])
                                      & (change <= 1e4 * fp_tol))

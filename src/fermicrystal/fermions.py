@@ -32,6 +32,10 @@ from .torus import FourierScalarField, TorusSpec, frequency_table, integer_box
 
 Occupation = tuple  # tuple of integer h-tuples, lexicographically sorted
 
+# cached offset bins of ``SubstitutionTable._scatter`` kept at most, in
+# entries (8 bytes each); the cache starts over once it holds more
+_ROW_BINS_ENTRIES = 1 << 22
+
 
 def orbital_kinetic(spec: TorusSpec, h) -> float:
     """Kinetic energy |xi|^2 / 2 of one plane-wave orbital."""
@@ -194,45 +198,71 @@ class SubstitutionTable:
         self.zero = table.zero
         self.n_electrons = basis.n_electrons
         self.volume = basis.spec.volume
+        self._row_bins = {}  # (index name, rows) -> offset bins, see _scatter
+        self._row_bins_entries = 0
 
-    def _scatter(self, index: np.ndarray, size: int, terms: np.ndarray) -> np.ndarray:
-        """Sum ``terms[..., t]`` into bin ``index[t]`` of a zero (..., size) array.
+    def gather(self, c: np.ndarray) -> np.ndarray:
+        """``c[..., src] * sign``: the source coefficient of every entry.
 
-        Rows are flattened into one ``np.add.at`` with offset bins, which
-        keeps each bin's additions in entry order, so every row gets the
-        bits of its own single-row scatter.
-        """
-        out = np.zeros(terms.shape[:-1] + (size,), dtype=complex)
-        flat = out
-        if out.ndim > 1:
-            flat, terms = out.reshape(-1), terms.reshape(-1)
-            index = (index + size * np.arange(len(out))[:, None]).ravel()
-        np.add.at(flat, index, terms)
-        return out
-
-    def transition_values(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Coefficients of ``transition_density`` for raw CI arrays c, d.
-
-        c and d are (B,) arrays or (R, B) stacks of rows; each row maps to
-        its own row of coefficients.
+        Both passes start from it, so a caller making both passes on one c
+        gathers once and hands it to each as ``gathered``.
         """
         # ``take`` gathers over the last axis without fancy indexing's
         # per-row cost, which shows at B = 2002
-        terms = (c.take(self.src, axis=-1) * np.conj(d.take(self.dst, axis=-1))
-                 * self.sign)
-        out = self._scatter(self.delta, self.n_freq, terms)
+        return c.take(self.src, axis=-1) * self.sign
+
+    def _scatter(self, index: str, size: int, terms: np.ndarray) -> np.ndarray:
+        """Sum ``terms[..., t]`` into bin ``self.<index>[t]`` of a zero
+        (..., size) array.
+
+        Rows are flattened into one ``np.add.at`` with offset bins, which
+        keeps each bin's additions in entry order, so every row gets the
+        bits of its own single-row scatter.  The offset bins are built once
+        per index and row count: a stage solve sees a handful of counts.
+        """
+        out = np.zeros(terms.shape[:-1] + (size,), dtype=complex)
+        if out.ndim == 1:
+            np.add.at(out, getattr(self, index), terms)
+            return out
+        key = (index, len(out))
+        bins = self._row_bins.get(key)
+        if bins is None:
+            if self._row_bins_entries > _ROW_BINS_ENTRIES:
+                self._row_bins.clear()
+                self._row_bins_entries = 0
+            bins = getattr(self, index) + size * np.arange(len(out))[:, None]
+            bins = self._row_bins[key] = bins.ravel()
+            self._row_bins_entries += bins.size
+        np.add.at(out.reshape(-1), bins, terms.reshape(-1))
+        return out
+
+    def transition_values(self, c: np.ndarray, d: np.ndarray,
+                          gathered: np.ndarray = None) -> np.ndarray:
+        """Coefficients of ``transition_density`` for raw CI arrays c, d.
+
+        c and d are (B,) arrays or (R, B) stacks of rows; each row maps to
+        its own row of coefficients.  ``gathered`` is ``gather(c)`` when the
+        caller already has it; the sign is +-1, so the bits are the same.
+        """
+        if gathered is None:
+            gathered = self.gather(c)
+        terms = gathered * np.conj(d.take(self.dst, axis=-1))
+        out = self._scatter("delta", self.n_freq, terms)
         # np.vecdot is np.vdot row by row, with the same bits; .T puts the
         # row axis last, so one expression serves one row and a stack
         out.T[self.zero] += self.n_electrons * np.vecdot(d, c)
         return out
 
-    def potential_values(self, c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def potential_values(self, c: np.ndarray, phi: np.ndarray,
+                         gathered: np.ndarray = None) -> np.ndarray:
         """Values of ``apply_one_body_potential`` for raw c and Phi_hat arrays,
-        single or stacked in rows like ``transition_values``."""
+        single or stacked in rows like ``transition_values``, which also
+        takes ``gathered``."""
+        if gathered is None:
+            gathered = self.gather(c)
         volume = self.volume
-        terms = (c.take(self.src, axis=-1) * self.sign
-                 * phi.take(self.neg_delta, axis=-1) / volume)
-        out = self._scatter(self.dst, c.shape[-1], terms).T
+        terms = gathered * phi.take(self.neg_delta, axis=-1) / volume
+        out = self._scatter("dst", c.shape[-1], terms).T
         out += self.n_electrons * phi.T[self.zero] / volume * c.T
         return out.T
 

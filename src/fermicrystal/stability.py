@@ -308,7 +308,7 @@ def _response_map(gs: GroundState) -> tuple:
               psi[sub.src[hit]] * sub.sign[hit])
     amplitudes[table.zero, :] += basis.n_electrons * psi[reached]
     mirrored = np.conj(amplitudes[table.conj, :])
-    phases = plan.ion_phases(gs.r)  # q = r broadcast over the sites
+    phases = plan.ion_phases(gs.r).T  # q = r broadcast over the sites
     ions = plan.ixi[:, None, :] * plan.sigma_hat[:, None, None] * phases[:, :, None]
     # packed as (Re C, Im C, kappa, pi): the reached parts of C, every kappa
     columns = np.flatnonzero(np.concatenate([reach, reach, np.ones(ions[0].size, bool)]))
@@ -759,10 +759,16 @@ def _distance(c, q, p, gs: GroundState) -> tuple:
 def sample_tangent_perturbation(gs: GroundState, rng: np.random.Generator) -> TangentVector:
     """A random direction orthogonal to T_S S and tangent to the charge manifold,
     normalized to unit |.|_V."""
+    return _sample_tangent(gs, rng, _removed_directions(gs))
+
+
+def _sample_tangent(gs: GroundState, rng: np.random.Generator,
+                    removed: np.ndarray) -> TangentVector:
+    """``sample_tangent_perturbation`` with ``_removed_directions(gs)`` given,
+    so that a sweep builds them once for all its directions."""
     b = gs.basis.size
     block = gs.spec.n_ions * gs.spec.dimension
     vector = rng.standard_normal(2 * b + 2 * block)
-    removed = _removed_directions(gs)
     # two passes: plain Gram-Schmidt against a non-orthogonal family
     for _ in range(2):
         for row in removed:
@@ -817,30 +823,22 @@ def _run_rows(gs: GroundState, rows: Sequence[tuple], duration: float,
     """Evolve the rows (label, perturbation, delta) as one batch, tracking
     each row's distance to S; one record per row, in row order.
 
-    The observer buffers the R row states of each record and measures them
-    with one batched distance, building the record's arrays at its last row.
+    Each record's distances are one batched ``_distance`` on the stacked
+    arrays that ``evolve`` hands its batch observer.
     """
     initial = [
         gs.state() if perturbation is None or delta == 0.0
         else perturbed_state(gs, perturbation, delta)
         for _, perturbation, delta in rows
     ]
-    distances, pending = [], []
+    distances = []
 
-    def observer(t, state):
-        pending.append(state)
-        if len(pending) == len(rows):
-            # np.array of a list of equal-shape rows: np.stack's result,
-            # without its per-row checks
-            c = np.array([s.psi.values for s in pending])
-            q = np.array([s.ions.q for s in pending])
-            p = np.array([s.ions.p for s in pending])
-            distances.append(_distance(c, q, p, gs)[0])
-            pending.clear()
+    def measure(t, c, q, p):
+        distances.append(_distance(c, q, p, gs)[0])
 
     _, log = evolve(initial, gs.sigma, dt, duration, method=method,
                     fp_tol=fp_tol, max_iterations=max_iterations,
-                    observer=observer)
+                    batch_observer=measure)
     distance = np.array(distances)
     return [
         TrajectoryRecord(label, float(delta), log.t, distance[:, row],
@@ -922,8 +920,9 @@ def stability_experiment(
     ``if __name__ == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     streams = np.random.SeedSequence(seed).spawn(n_perturbations)
+    removed = _removed_directions(gs)
     directions = [
-        sample_tangent_perturbation(gs, np.random.default_rng(stream))
+        _sample_tangent(gs, np.random.default_rng(stream), removed)
         for stream in streams
     ]
     controls = []

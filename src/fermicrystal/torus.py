@@ -296,13 +296,17 @@ def coulomb_energy(
     return float(terms.sum() / (2.0 * rho.spec.volume))
 
 
+@lru_cache(maxsize=64)
 def lattice_points(spec: TorusSpec) -> np.ndarray:
     """Ion lattice Gamma = {0..N-1}^d as an (N^d, d) integer array, lex order.
 
     Every module indexes ions in this order; keeping a single source of
-    truth is what makes ion-block vectors comparable across modules.
+    truth is what makes ion-block vectors comparable across modules.  The
+    array is built once per torus and is read-only.
     """
-    return integer_box(0, spec.cells_per_axis, spec.dimension)
+    sites = integer_box(0, spec.cells_per_axis, spec.dimension)
+    sites.setflags(write=False)
+    return sites
 
 
 def integer_box(low: int, high: int, d: int) -> np.ndarray:

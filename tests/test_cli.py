@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from fermicrystal import ConfigError, evolve
-from fermicrystal.cli import ArtifactWriter, main
+from fermicrystal.cli import (
+    TRAJECTORY_HEADER,
+    ArtifactWriter,
+    _strided,
+    _trajectory_lines,
+    main,
+)
 from fermicrystal.config import (
     RunConfig,
     build_basis,
@@ -16,6 +22,7 @@ from fermicrystal.config import (
     load_config,
     validate_config,
 )
+from fermicrystal.stability import TrajectoryRecord, stability_experiment
 
 BASE_INI = """
 [model]
@@ -335,6 +342,47 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     empty = writer.write_csv("empty.csv", header, [])
     with open(empty, "rb") as handle:
         assert handle.read() == b"label,a,b,c,d\n"
+
+
+def write_csv_rows(records, stride):
+    # the rows cmd_stability once handed to write_csv, cell by cell
+    rows = []
+    for record in records:
+        picks = _strided(len(record.t), stride)
+        columns = (record.t[picks].tolist(), record.distance[picks].tolist(),
+                   record.energy[picks].tolist(), record.charge[picks].tolist())
+        rows.extend((record.label, record.delta) + cells for cells in zip(*columns))
+    return rows
+
+
+@pytest.mark.parametrize("stride", [1, 3, 50])
+def test_trajectory_lines_match_write_csv(tmp_path, stride):
+    # formatting each t grid and (label, delta) prefix once gives the bytes
+    # of write_csv on the full rows, across records with different grids
+    cfg = load_config(write_ini(tmp_path), environ={})
+    gs = build_ground(cfg)
+    records = stability_experiment(gs, [1e-3, 1e-2], n_perturbations=2,
+                                   duration=0.01, dt=1e-3).records
+    rng = np.random.default_rng(0)
+    for label, t in (("odd-grid", np.linspace(0.0, 0.7, 8)),
+                     ("signed-zero", np.array([-0.0, 1e-300, 1.0 / 3.0])),
+                     ("perturbation-9", np.linspace(0.0, 0.7, 8))):
+        records.append(TrajectoryRecord(label, -0.0 if "zero" in label else 2.0**-30,
+                                        t, rng.standard_normal(len(t)),
+                                        rng.standard_normal(len(t)) * 1e300,
+                                        np.full(len(t), np.nan)))
+    writer = ArtifactWriter(str(tmp_path / "out"), "stability",
+                            load_config(None, environ={}), 0)
+    fast = writer.write_lines("fast.csv", TRAJECTORY_HEADER,
+                              _trajectory_lines(records, stride))
+    oracle = writer.write_csv("oracle.csv", TRAJECTORY_HEADER,
+                              write_csv_rows(records, stride))
+    with open(fast, "rb") as a, open(oracle, "rb") as b:
+        assert a.read() == b.read()
+    empty = writer.write_lines("empty.csv", TRAJECTORY_HEADER,
+                               _trajectory_lines([], stride))
+    with open(empty, "rb") as handle:
+        assert handle.read() == b"label,delta,t,distance,E,Q\n"
 
 
 def test_cmd_stability_and_manifest(tmp_path):

@@ -30,6 +30,9 @@ from fermicrystal import (
     sample_tangent_perturbation,
 )
 
+# an overflow the code does not mask fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def ground_state(basis, mass=1.0):
     sets, _ = ground_occupations(basis.spec)
@@ -296,11 +299,73 @@ def test_midpoint_step_solves_full_stage(basis1d, sigma1d, dt):
     c1, p1 = final.psi.values, final.ions.p
     q1 = q0 + ((final.ions.q - q0 + n / 2.0) % n - n / 2.0)
     plan = dynamics._FlowPlan(basis1d, sigma1d)
-    cd, qd, pd = dynamics._rhs_raw(plan, (c0 + c1) / 2, (q0 + q1) / 2,
-                                   (p0 + p1) / 2, state.ions.mass)
+    cd, qd, pd = dynamics._full_rhs(plan, (c0 + c1) / 2, (q0 + q1) / 2,
+                                    (p0 + p1) / 2, state.ions.mass)
     assert np.abs(c1 - c0 - dt * cd).max() <= 1e-12
     assert np.abs(q1 - q0 - dt * qd).max() <= 1e-12
     assert np.abs(p1 - p0 - dt * pd).max() <= 1e-12
+
+
+def transition_oracle(sub, c, d):
+    # one row, entry by entry: the pass before the gather was shared
+    out = np.zeros(sub.n_freq, dtype=complex)
+    np.add.at(out, sub.delta, c[sub.src] * np.conj(d[sub.dst]) * sub.sign)
+    out[sub.zero] += sub.n_electrons * np.vdot(d, c)
+    return out
+
+
+def potential_oracle(sub, c, phi):
+    out = np.zeros(c.size, dtype=complex)
+    np.add.at(out, sub.dst, c[sub.src] * sub.sign * phi[sub.neg_delta] / sub.volume)
+    return out + sub.n_electrons * phi[sub.zero] / sub.volume * c
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shared_gather_keeps_bits(basis1d, basis2d, dim):
+    # both passes give the same bits with and without the shared gather,
+    # for one row and for stacks of several row counts (the scatter's
+    # offset bins are cached per count), and match the per-row oracle
+    basis = basis1d if dim == 1 else basis2d
+    sub = basis.substitutions()
+    rng = np.random.default_rng(dim)
+    for shape in ((basis.size,), (3, basis.size), (2, basis.size), (3, basis.size)):
+        c, d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(2))
+        phi = (rng.standard_normal(shape[:-1] + (sub.n_freq,))
+               + 1j * rng.standard_normal(shape[:-1] + (sub.n_freq,)))
+        gathered = sub.gather(c)
+        transition = sub.transition_values(c, d, gathered)
+        potential = sub.potential_values(c, phi, gathered)
+        assert np.array_equal(transition, sub.transition_values(c, d))
+        assert np.array_equal(potential, sub.potential_values(c, phi))
+        for row in np.ndindex(shape[:-1]):
+            assert np.array_equal(transition[row], transition_oracle(sub, c[row], d[row]))
+            assert np.array_equal(potential[row], potential_oracle(sub, c[row], phi[row]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coupling_rhs_plus_kinetic_is_full_flow(basis1d, sigma1d, basis2d,
+                                                sigma2d_perturbed, dim):
+    # _rhs_raw returns G = i e (Phi tensor psi); G - i K c is the full
+    # c_dot = -i (K c - e Phi tensor psi), up to rounding of its largest entry
+    basis, sigma = (basis1d, sigma1d) if dim == 1 else (basis2d, sigma2d_perturbed)
+    plan = dynamics._FlowPlan(basis, sigma)
+    states = [random_state(basis, seed) for seed in (21, 22, 23)]
+    c = np.stack([s.psi.values for s in states])
+    q = np.stack([s.ions.q for s in states])
+    p = np.stack([s.ions.p for s in states])
+    g, q_dot, p_dot = dynamics._rhs_raw(plan, c, q, p, 1.0)
+    _, rho = plan.density(c, q)
+    coupling = plan.substitutions.potential_values(c, rho * plan.coulomb_weight)
+    c_dot = -1j * (plan.kinetic * c - plan.e * coupling)
+    full = dynamics._full_rhs(plan, c, q, p, 1.0)
+    for got in (g - 1j * plan.kinetic * c, full[0]):
+        assert np.abs(got - c_dot).max() <= 1e-15 * np.abs(c_dot).max()
+    assert np.array_equal(full[1], q_dot) and np.array_equal(full[2], p_dot)
+    for row, state in enumerate(states):
+        single = rhs(state, sigma)
+        np.testing.assert_array_equal(single.psi_dot.values, full[0][row])
+        np.testing.assert_array_equal(single.p_dot, p_dot[row])
 
 
 def test_midpoint_stage_iterations_bounded():
@@ -436,6 +501,45 @@ def test_batch_observer_and_iterations_contract(gs1d, sigma1d):
     assert len({int(c[1]) for c in counts}) > 1  # rows stop at different sweeps
 
 
+def test_batch_observer_sees_stacked_rows(gs1d, sigma1d):
+    # one call per record, before the row observers, with the stacked
+    # arrays of the row states they see; the hook leaves the run unchanged
+    states = batch_states(gs1d)
+    rows, steps = len(states), 10
+    shape = (rows, gs1d.spec.n_ions, gs1d.spec.dimension)
+    events, stacked = [], []
+
+    def batch_observer(t, c, q, p):
+        assert c.shape == (rows, gs1d.basis.size) and q.shape == p.shape == shape
+        events.append("batch")
+        stacked.append((t, c.copy(), q.copy(), p.copy()))
+
+    def observer(t, state):
+        events.append("row")
+        seen.append((t, state))
+
+    seen = []
+    _, log = evolve(states, sigma1d, dt=2e-2, duration=0.2, observer=observer,
+                    batch_observer=batch_observer)
+    assert events == (["batch"] + ["row"] * rows) * (steps + 1)
+    for k, (t, c, q, p) in enumerate(stacked):
+        assert t == log.t[k]
+        for row in range(rows):
+            t_row, state = seen[k * rows + row]
+            assert t_row == t
+            np.testing.assert_array_equal(c[row], state.psi.values)
+            np.testing.assert_array_equal(q[row], state.ions.q)
+            np.testing.assert_array_equal(p[row], state.ions.p)
+    _, plain = evolve(states, sigma1d, dt=2e-2, duration=0.2)
+    np.testing.assert_array_equal(log.energy, plain.energy)
+    np.testing.assert_array_equal(log.iterations, plain.iterations)
+    # a single state is a batch of one
+    single = []
+    evolve(states[2], sigma1d, dt=2e-2, duration=0.2,
+           batch_observer=lambda t, c, q, p: single.append((c.shape, q.shape)))
+    assert single == [((1, gs1d.basis.size), (1,) + shape[1:])] * (steps + 1)
+
+
 # --- row states and ion phases ---
 
 
@@ -506,19 +610,21 @@ def test_row_states_own_their_arrays(gs1d, sigma1d):
 
 @pytest.mark.parametrize("d, n, n_g, budget", [
     (1, 2, 16, 8.0), (1, 3, 18, 8.0),
-    (2, 2, 8, 3.0), (2, 3, 12, 4.0),
-    (3, 2, 6, 3.0), (3, 3, 6, 4.0),
+    (2, 2, 8, 3.0), (2, 3, 12, 4.0), (2, 4, 16, 11.0),
+    (3, 2, 6, 3.0), (3, 3, 6, 4.0), (3, 2, 8, 8.0),
 ])
 def test_ion_phases_match_full_exp(d, n, n_g, budget):
-    # the mirrored half is the exp of the full table, bit for bit
+    # cos + i sin of the real angle, mirrored past xi = 0, is the exp of the
+    # full complex table, bit for bit, with the ions first
     spec = TorusSpec(d, n, n_g)
     basis = enumerate_basis(spec, budget * np.pi**2 + 1e-9)
     plan = dynamics._FlowPlan(basis, box_density(spec, 1))
     rng = np.random.default_rng(d * 10 + n)
     shape = (spec.n_ions, d)
     for q in (np.zeros(shape), rng.uniform(-1.0, n + 1.0, shape),
-              rng.uniform(0.0, n, (4,) + shape)):
-        expected = np.exp(plan.ixi @ (plan.sites + q).swapaxes(-1, -2))
+              rng.uniform(0.0, n, (4,) + shape), rng.uniform(0.0, n, (50,) + shape)):
+        full = np.exp(plan.ixi @ (plan.sites + q).swapaxes(-1, -2))
+        expected = full.swapaxes(-1, -2)
         got = plan.ion_phases(q)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert np.array_equal(got, expected)

@@ -17,6 +17,7 @@ from fermicrystal import (
     distance_to_manifold,
     energy,
     enumerate_basis,
+    evolve,
     first_variation_residual,
     frequency_table,
     grid_density,
@@ -37,6 +38,9 @@ from fermicrystal import (
 )
 from fermicrystal import stability
 from fermicrystal.stability import HessianForm, TangentVector, _displaced_state
+
+# an overflow the code does not mask fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_tangent(gs, seed, with_ions=True):
@@ -739,7 +743,40 @@ def test_sampled_perturbation_deterministic(gs1d):
     np.testing.assert_array_equal(a.pi, b.pi)
 
 
+def test_sampling_with_shared_removed_rows(gs1d):
+    # a sweep builds the removed directions once; each direction keeps its bits
+    removed = stability._removed_directions(gs1d)
+    for seed in (0, 1, 2):
+        a = sample_tangent_perturbation(gs1d, np.random.default_rng(seed))
+        b = stability._sample_tangent(gs1d, np.random.default_rng(seed), removed)
+        np.testing.assert_array_equal(a.phi.values, b.phi.values)
+        np.testing.assert_array_equal(a.kappa, b.kappa)
+        np.testing.assert_array_equal(a.pi, b.pi)
+
+
 # --- trajectories ---
+
+
+def test_run_rows_distances_match_single_states(gs1d):
+    # the batched distance of each record, taken on the stacked arrays,
+    # is distance_to_manifold of every row state, bit for bit
+    rng = np.random.default_rng
+    rows = [("zero", None, 0.0),
+            ("translation-0", translation_perturbation(gs1d, 0), 1e-2)]
+    rows += [(f"perturbation-{seed}", sample_tangent_perturbation(gs1d, rng(seed)), delta)
+             for seed in (1, 2) for delta in (1e-3, 1e-1)]
+    records = stability._run_rows(gs1d, rows, duration=0.02, dt=1e-3,
+                                  method="implicit_midpoint", fp_tol=1e-13,
+                                  max_iterations=50)
+    initial = [gs1d.state() if y is None else perturbed_state(gs1d, y, delta)
+               for _, y, delta in rows]
+    seen = []
+    evolve(initial, gs1d.sigma, 1e-3, 0.02,
+           observer=lambda t, s: seen.append(distance_to_manifold(s, gs1d).distance))
+    expected = np.array(seen).reshape(-1, len(rows))
+    assert [r.label for r in records] == [label for label, _, _ in rows]
+    for row, record in enumerate(records):
+        np.testing.assert_array_equal(record.distance, expected[:, row])
 
 
 def test_control_trajectory_stays_put(gs1d):

@@ -204,6 +204,18 @@ def test_lattice_points_order():
     assert len(pts3) == 8 and pts3[0].tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("d, n, n_g", [(1, 2, 16), (2, 3, 12), (3, 2, 8)])
+def test_lattice_points_built_once_read_only(d, n, n_g):
+    spec = TorusSpec(d, n, n_g)
+    pts = lattice_points(spec)
+    assert np.array_equal(pts, integer_box(0, n, d))
+    assert pts.dtype == integer_box(0, n, d).dtype
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1
+    assert lattice_points(TorusSpec(d, n, n_g)) is pts
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.data())
 def test_round_trip_property(n, d_times, data):
