@@ -211,22 +211,30 @@ def cmd_ground_state(cfg: RunConfig, writer: ArtifactWriter) -> int:
     return 0
 
 
-def cmd_hessian(cfg: RunConfig, writer: ArtifactWriter) -> int:
-    gs = build_ground(cfg)
+def _spectral_summary(gs) -> tuple:
+    """The form at the ground state, its full spectrum, and the report keys
+    that the ``hessian`` and ``stability`` commands share."""
     form = hessian_assemble(gs)
     full = hessian_spectrum(form, "full")
     constrained = hessian_spectrum(form, "constrained")
     report = wiener_report(gs.sigma)
-    payload = {
+    return form, full, {
         "omega0": gs.omega0,
-        "matrix_size": form.size,
         "kernel_dim_full": full.kernel_dim,
         "kernel_dim_constrained": constrained.kernel_dim,
-        "lambda_min_full": full.lambda_min,
         "lambda_min_constrained": constrained.lambda_min,
-        "kernel_tolerance": full.tolerance,
         "wiener_holds": bool(report.wiener_holds),
         "degeneracy_dim": report.degeneracy_dim,
+    }
+
+
+def cmd_hessian(cfg: RunConfig, writer: ArtifactWriter) -> int:
+    form, full, summary = _spectral_summary(build_ground(cfg))
+    payload = {
+        **summary,
+        "matrix_size": form.size,
+        "lambda_min_full": full.lambda_min,
+        "kernel_tolerance": full.tolerance,
         "eigenvalues_head": [float(v) for v in full.eigenvalues[:12]],
         # the blocks the spectra diagonalise, one per Bloch sector
         "sector_sizes": sorted(len(sector.block) for sector in form.sectors),
@@ -289,18 +297,10 @@ def cmd_stability(cfg: RunConfig, writer: ArtifactWriter, seed: int,
         "trajectories.csv", TRAJECTORY_HEADER,
         _trajectory_lines(result.records, cfg.output.stride))
 
-    form = hessian_assemble(gs)
-    full = hessian_spectrum(form, "full")
-    constrained = hessian_spectrum(form, "constrained")
-    report = wiener_report(gs.sigma)
+    _, _, summary = _spectral_summary(gs)
     payload = {
-        "omega0": gs.omega0,
+        **summary,
         "energy": energy(gs.state(), gs.sigma),
-        "kernel_dim_full": full.kernel_dim,
-        "kernel_dim_constrained": constrained.kernel_dim,
-        "lambda_min_constrained": constrained.lambda_min,
-        "wiener_holds": bool(report.wiener_holds),
-        "degeneracy_dim": report.degeneracy_dim,
         "seed": seed,
         "n_perturbations": s.n_perturbations,
         "deltas": list(s.deltas),

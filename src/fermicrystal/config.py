@@ -18,12 +18,15 @@ from typing import Optional
 
 from .density import (
     IonDensityModel,
+    _check_bump,
+    _check_charge,
+    _check_order,
     box_density,
     load_density_file,
     perturbed_box_density,
 )
 from .dynamics import METHODS
-from .errors import ConfigError
+from .errors import ConfigError, InvalidDensityError
 from .fermions import DeterminantBasis, enumerate_basis, ground_occupations
 from .stability import GroundState, build_ground_state
 from .torus import TorusSpec
@@ -163,6 +166,9 @@ def load_config(path: Optional[str] = None, environ=None) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Refuse a configuration no run could use with a ConfigError.  The
+    torus rules are ``TorusSpec``'s and the density rules ``density``'s:
+    their refusals come back as ``[model]`` errors with the same text."""
     # nan and inf pass every comparison below, so reject them first
     for name in _SECTIONS:
         for key, value in vars(getattr(cfg, name)).items():
@@ -183,25 +189,15 @@ def validate_config(cfg: RunConfig) -> None:
             "model kind 'file' runs at the spectral default cutoff, so "
             f"cutoff_radius must be 0, got {m.cutoff_radius}"
         )
-    if m.kind == "box" and m.profile_exponent < 1:
-        raise ConfigError("profile_exponent must be at least 1")
-    if m.kind == "perturbed_box":
-        if m.profile_exponent < 2 or m.profile_exponent % 2:
-            raise ConfigError("perturbed_box requires an even profile_exponent >= 2")
-        if m.amplitude <= 0:
-            raise ConfigError("perturbed_box requires amplitude > 0")
-        if 4 * m.decay <= 1:
-            raise ConfigError(
-                f"perturbed_box requires decay > 1/4 (4 * decay > 1 bounds its "
-                f"spectral tail), got {m.decay}")
-    if m.charge * m.coupling <= 0:
-        raise ConfigError("charge * coupling must be positive")
-    amplitude = m.amplitude if m.kind == "perturbed_box" else 0.0
-    peak = m.charge * m.coupling * (1.0 + amplitude * m.dimension)
-    if not math.isfinite(peak * peak):
-        raise ConfigError(
-            f"squared peak transform (e Z (1 + amplitude d))^2 = ({peak:.3e})^2 "
-            f"overflows a float: lower charge, coupling or amplitude")
+    perturbed = m.kind == "perturbed_box"
+    try:  # the density rules are density's; profile_exponent is the order k
+        if m.kind != "file":
+            _check_order(m.profile_exponent, perturbed)
+        if perturbed:
+            _check_bump(m.amplitude, m.decay)
+        _check_charge(m.charge * m.coupling, m.amplitude if perturbed else 0.0, m.dimension)
+    except InvalidDensityError as exc:
+        raise ConfigError(f"[model] {exc}") from None
     if m.cutoff_radius < 0:
         raise ConfigError("cutoff_radius must be nonnegative")
     b = cfg.basis

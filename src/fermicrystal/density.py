@@ -17,6 +17,9 @@ theory:
   Hessian at a ground state has any flat ion directions beyond rigid
   translations.
 
+The density rules live once, in the ``_check_*`` functions below, which
+the constructors, the model and the run configuration call.
+
 Box products sigma_k with per-axis profile chi_k (k-fold self-convolution
 of the unit box) have the closed transform e Z prod_i (2 sin(s/2)/s)^k and
 satisfy the crystal condition for every k; for d >= 2 they vanish on whole
@@ -51,6 +54,7 @@ neither symmetry: they are summed on the product grid at every point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -62,12 +66,46 @@ from .torus import (
     TWO_PI,
     FourierScalarField,
     TorusSpec,
+    bloch_waves,
     dft_forward,
     dft_inverse,
     frequency_table,
     integer_box,
     lattice_points,
 )
+
+
+def _check_order(k, perturbed: bool) -> None:
+    """Refuse a box order k that is not an integer >= 1, or, for the
+    perturbed box, not even (see ``perturbed_box_density``)."""
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise InvalidDensityError(f"box order k must be an integer >= 1, got {k!r}")
+    if perturbed and k % 2:
+        raise InvalidDensityError(
+            f"perturbed box requires an even k so the sum stays nonnegative, got {k}")
+
+
+def _check_bump(amplitude: float, decay: float) -> None:
+    """Refuse a perturbed-box bump with amplitude <= 0 or decay <= 1/4
+    (see ``perturbed_box_density``); nan fails both."""
+    if not amplitude > 0.0:
+        raise InvalidDensityError(f"perturbation amplitude must be positive, got {amplitude}")
+    if not 4.0 * decay > 1.0:
+        raise InvalidDensityError(
+            f"perturbed box requires decay > 1/4 (4 * decay > 1 bounds its "
+            f"spectral tail), got {decay}")
+
+
+def _check_charge(charge: float, amplitude: float, dimension: int) -> None:
+    """Refuse a total charge e Z <= 0, or a peak e Z (1 + amplitude d) >= |sigma_hat|
+    whose square overflows a float, as the Wiener tail bounds square it."""
+    if not charge > 0.0:
+        raise InvalidDensityError(f"total ion charge e Z must be positive, got {charge:.3e}")
+    peak = charge * (1.0 + amplitude * dimension)
+    if not math.isfinite(peak * peak):
+        raise InvalidDensityError(
+            f"squared peak transform (e Z (1 + amplitude d))^2 = ({peak:.3e})^2 "
+            f"overflows a float: lower e Z or the amplitude")
 
 
 def box_profile_transform(s: np.ndarray, k: int) -> np.ndarray:
@@ -128,25 +166,14 @@ class IonDensityModel:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.e * self.Z <= 0.0:
-            raise InvalidDensityError(
-                f"total ion charge e Z must be positive, got {self.e * self.Z:.3e}"
-            )
+        amplitude = self.params[1] if self.kind == "perturbed_box" else 0.0
+        _check_charge(self.charge, amplitude, self.spec.dimension)
         if not self.field.is_real(1e-10):
             raise InvalidDensityError("sigma must be real: transform not conjugate symmetric")
         total = self.field.values[self.field.table.zero]
         if abs(total - self.e * self.Z) > 1e-10 * abs(self.e * self.Z):
             raise InvalidDensityError(
                 f"total charge {total:.12g} does not match e Z = {self.e * self.Z:.12g}"
-            )
-        # |sigma_hat| <= e Z (1 + amplitude d), and the Wiener tail bounds
-        # square it: a Python float squared by ** raises on overflow
-        amplitude = self.params[1] if self.kind == "perturbed_box" else 0.0
-        peak = self.charge * (1.0 + amplitude * self.spec.dimension)
-        if not math.isfinite(peak * peak):
-            raise InvalidDensityError(
-                f"squared peak transform (e Z (1 + amplitude d))^2 = ({peak:.3e})^2 "
-                f"overflows a float"
             )
 
     @property
@@ -189,8 +216,7 @@ def _field_from_transform(spec: TorusSpec, evaluate) -> FourierScalarField:
 
 def box_density(spec: TorusSpec, k: int, Z: float = 1.0, e: float = 1.0) -> IonDensityModel:
     """Product box density sigma_k, centered on the ion so the transform is real."""
-    if k < 1:
-        raise InvalidDensityError("box order k must be a positive integer")
+    _check_order(k, perturbed=False)
     field = _field_from_transform(spec, lambda xi: _box_transform(xi.T, k, e * Z))
     return IonDensityModel(spec, "box", Z, e, field, params=(k,))
 
@@ -211,14 +237,8 @@ def perturbed_box_density(
     squared envelope decays as |xi_i|^{-4 decay} per axis, and the Wiener
     scan's tail bound sums it, so decay must exceed 1/4.
     """
-    if k % 2 != 0:
-        raise InvalidDensityError("perturbed box requires even k so the sum stays nonnegative")
-    if amplitude <= 0.0:
-        raise InvalidDensityError("perturbation amplitude must be positive")
-    if not 4.0 * decay > 1.0:  # nan fails it too
-        raise InvalidDensityError(
-            f"perturbed box requires decay > 1/4 (4 * decay > 1 bounds its "
-            f"spectral tail), got {decay}")
+    _check_order(k, perturbed=True)
+    _check_bump(amplitude, decay)
     field = _field_from_transform(
         spec, lambda xi: _perturbed_box_transform(xi.T, k, amplitude, decay, e * Z)
     )
@@ -228,8 +248,15 @@ def perturbed_box_density(
 def grid_density(
     spec: TorusSpec, samples: np.ndarray, Z: float, e: float
 ) -> IonDensityModel:
-    """Density given by real-space grid samples of a single ion's charge."""
+    """Density given by real-space grid samples of a single ion's charge;
+    samples that are not finite are refused before the transform."""
     samples = np.asarray(samples, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        first = tuple(int(i) for i in np.unravel_index(bad[0], samples.shape))
+        raise InvalidDensityError(
+            f"{bad.size} of {samples.size} density samples are not finite, the first "
+            f"at grid index {first}")
     field = dft_forward(samples, spec)
     return IonDensityModel(spec, "grid", Z, e, field)
 
@@ -285,8 +312,6 @@ def jellium_check(
     (default: the retained cutoff); sampled densities over the retained set.
     Returns the worst offender so failures are actionable.
     """
-    if model.charge <= 0.0:
-        raise InvalidDensityError("jellium check needs positive total charge")
     spec = model.spec
     radius = spec.cutoff_radius if radius is None else float(radius)
     if model.closed_form:
@@ -664,16 +689,15 @@ def wiener_report(
     share the symmetry: every point is its own orbit.  The tolerance and
     the flat space stay per point.
 
-    The flat space collects the real lattice vector fields
-    v(n) = Re / Im of exp(-i theta n) v_hat with Sigma(theta) v_hat = 0;
-    conjugate pairs (theta, -theta) are taken once with both quadratures,
-    self-paired points (2 theta in gamma*) only with the real one.  Its
-    dimension is the rank of the stacked vectors, by singular values.
+    The flat space collects the real lattice vector fields w(n) u: for
+    each pair {h, -h}, u in the kernel of Sigma at its lower class h (which
+    -h shares) and w the Bloch waves of h and of its partner
+    (``torus.bloch_waves``).  Its dimension is the rank of the stacked
+    fields, by singular values.
     """
     spec = model.spec
     n, d = spec.cells_per_axis, spec.dimension
-    ions = lattice_points(spec)
-    cell = ions[1:]  # the dual cell {0..N-1}^d without its first point, the origin
+    cell = lattice_points(spec)[1:]  # the dual cell {0..N-1}^d without its first point, the origin
     if model.closed_form:
         # theta = S theta_canon for a signed axis permutation S, and
         # Sigma(S theta) = S Sigma(theta) S^T
@@ -706,17 +730,11 @@ def wiener_report(
             map(tuple, cell.tolist()), spec.xi(cell), matrices, eigenvalues,
             kernel_dims, vectors, kernel)
     ]
-    degenerate_rows = []
-    seen_pairs = set()
-    for p, pair in zip(points, map(tuple, ((-cell) % n).tolist())):
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(p.h)
-        phase = ions @ p.theta
-        for u in p.kernel_basis.T:
-            degenerate_rows.append((np.cos(phase)[:, None] * u[None, :]).ravel())
-            if pair != p.h:
-                degenerate_rows.append((np.sin(phase)[:, None] * u[None, :]).ravel())
+    # class c > 0 is point c - 1 of the cell
+    partner, waves = bloch_waves(spec)
+    degenerate_rows = [np.outer(waves[c], u).ravel()
+                       for c in range(1, len(waves))
+                       for u in points[min(c, partner[c]) - 1].kernel_basis.T]
     if degenerate_rows:
         stacked = np.stack(degenerate_rows)
         singular = np.linalg.svd(stacked, compute_uv=False)

@@ -60,7 +60,7 @@ from .fermions import (
     ground_occupations,
     h1_norm,
 )
-from .torus import TWO_PI, FourierScalarField, frequency_table, lattice_points
+from .torus import FourierScalarField, bloch_waves, frequency_table
 
 
 @dataclass(eq=False)
@@ -102,7 +102,6 @@ def build_ground_state(
     r=None,
     alpha: float = 0.0,
     mass: float = 1.0,
-    jellium_tol: float = 1e-10,
 ) -> GroundState:
     """Construct a ground state, refusing densities without the crystal property.
 
@@ -110,11 +109,12 @@ def build_ground_state(
     one minimal occupation set; a mapping {occupation: amplitude} requests a
     mixture, which must consist of minimal sets whose pairs differ in at
     least two orbitals (otherwise the charge density is not uniform and the
-    state is rejected).  The amplitude vector is rescaled to Q = Z.
+    state is rejected).  The amplitude vector is rescaled to Q = Z.  The
+    crystal property is ``jellium_check`` at its default tolerance.
     """
     if sigma.spec != basis.spec:
         raise DimensionMismatchError("density model and basis live on different tori")
-    verdict = jellium_check(sigma, tol=jellium_tol)
+    verdict = jellium_check(sigma)
     if not verdict.passes:
         raise ModelRefusalError(
             "ion density is not crystal compatible: "
@@ -209,46 +209,31 @@ def unpack_tangent(basis: DeterminantBasis, vector: np.ndarray) -> TangentVector
 
 def tangent_space_vectors(gs: GroundState) -> np.ndarray:
     """Orthogonal basis of T_S S, packed: gauge rotation and d translations."""
-    psi = gs.psi_alpha()
-    rows = [pack_tangent(TangentVector(
-        CIVector(gs.basis, 1j * psi.values),
-        np.zeros((gs.spec.n_ions, gs.spec.dimension)),
-        np.zeros((gs.spec.n_ions, gs.spec.dimension)),
-    ))]
-    for axis in range(gs.spec.dimension):
-        kappa = np.zeros((gs.spec.n_ions, gs.spec.dimension))
-        kappa[:, axis] = 1.0
-        rows.append(pack_tangent(TangentVector(
-            CIVector.zeros(gs.basis), kappa,
-            np.zeros((gs.spec.n_ions, gs.spec.dimension)),
-        )))
-    return np.stack(rows)
+    return _removed_directions(gs)[:-1]
 
 
 def charge_constraint_gradient(gs: GroundState) -> np.ndarray:
     """Packed gradient of Re <psi_alpha, phi>, normal to T_S M."""
-    psi = gs.psi_alpha()
-    return pack_tangent(TangentVector(
-        psi, np.zeros((gs.spec.n_ions, gs.spec.dimension)),
-        np.zeros((gs.spec.n_ions, gs.spec.dimension)),
-    ))
+    return _removed_directions(gs)[-1]
 
 
 def _removed_directions(gs: GroundState) -> np.ndarray:
-    """Rows of the directions the constrained subspace removes: T_S S and the
-    charge-constraint gradient."""
-    return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
+    """The rows of ``_removed_support`` written into the packed width: the
+    directions the constrained subspace removes, T_S S and the radial one."""
+    support, rows = _removed_support(gs)
+    block = gs.spec.n_ions * gs.spec.dimension
+    removed = np.zeros((len(rows), 2 * gs.basis.size + 2 * block))
+    removed[:, support] = rows
+    return removed
 
 
 def _removed_support(gs: GroundState) -> tuple:
-    """The rows of ``_removed_directions`` on the packed coordinates they touch.
-
-    Returns ``(support, rows)``, support increasing, with
-    rows = _removed_directions(gs)[:, support].  The gauge and radial
-    directions live on the support of psi_alpha (its real and imaginary
-    parts), the translations on the ion displacements; every other entry of
-    every row is 0.
-    """
+    """The removed directions on the packed coordinates they touch, their
+    one formula: ``(support, rows)``, support increasing.  Row 0 is the
+    gauge rotation i psi_alpha on the support of psi_alpha (real and
+    imaginary parts), rows 1..d the translations kappa[:, axis] = 1 on the
+    ion displacements, and the last the radial direction psi_alpha, the
+    gradient of Re <psi_alpha, phi>.  Every other entry is 0."""
     b = gs.basis.size
     d = gs.spec.dimension
     block = gs.spec.n_ions * d
@@ -440,30 +425,17 @@ def _join(group: np.ndarray, members: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=64)
-def _bloch_waves(spec) -> tuple:
-    """The torus's pairs {h, -h} of lattice momenta, its Bloch waves and the
-    pair of each response row, read-only: ``(pair, waves, indicator)``.
-
-    The classes h are the lattice sites, in their order; ``pair[h]`` names
-    h's pair by its lower class.  Row h of ``waves`` is the unit wave over
-    the sites that class h takes: the cosine of its pair for the lower
-    class, the sine for the other.  ``indicator[p, r]`` is 1 where response
-    row r (real parts, then imaginary parts, at each retained frequency)
-    lies in pair p.
-    """
+def _response_pairs(spec) -> tuple:
+    """Read-only ``(pair, indicator)``: ``pair[h]`` is the lower class of {h, -h},
+    and ``indicator[p, r]`` is 1 where response row r lies in pair p."""
     n, d = spec.cells_per_axis, spec.dimension
-    sites = lattice_points(spec)
-    m = len(sites)
-    conj = np.ravel_multi_index((-sites % n).T, (n,) * d)
-    pair = np.minimum(np.arange(m), conj)
-    phase = (TWO_PI / n) * (sites[pair] @ sites.T)
-    waves = np.where((pair == np.arange(m))[:, None], np.cos(phase), np.sin(phase))
-    waves *= np.where(conj == np.arange(m), np.sqrt(1.0 / m), np.sqrt(2.0 / m))[:, None]
+    partner = bloch_waves(spec)[0]
+    pair = np.minimum(np.arange(len(partner)), partner)
     rows = pair[np.ravel_multi_index((frequency_table(spec).h % n).T, (n,) * d)]
-    indicator = (np.tile(rows, 2) == np.arange(m)[:, None]).astype(float)
-    for array in (pair, waves, indicator):
+    indicator = (np.tile(rows, 2) == np.arange(len(pair))[:, None]).astype(float)
+    for array in (pair, indicator):
         array.setflags(write=False)
-    return pair, waves, indicator
+    return pair, indicator
 
 
 def _bloch_sectors(gs: GroundState, part: np.ndarray, coupled: np.ndarray) -> tuple:
@@ -479,14 +451,14 @@ def _bloch_sectors(gs: GroundState, part: np.ndarray, coupled: np.ndarray) -> tu
       (one for a single determinant; a mixture's coordinate may be one
       substitution from two support sets and span two, and the pairs one
       coordinate spans are merged into one sector);
-    * the ion displacements, the last coupled coordinates, are rotated into
-      the real orthonormal Bloch waves cos(theta n) and sin(theta n),
-      theta = 2 pi h / N, per axis: the cosine alone where h = -h mod N,
-      both otherwise.  A wave's response rows are those of its pair up to
-      rounding, and a translation is the h = 0 wave of its axis.
+    * the ion displacements, the last coupled coordinates, are rotated per
+      axis into the real Bloch waves of ``torus.bloch_waves``.  A wave's
+      response rows are those of its pair up to rounding, and a translation
+      is the h = 0 wave of its axis.
     """
     d = gs.spec.dimension
-    pair, waves, indicator = _bloch_waves(gs.spec)
+    pair, indicator = _response_pairs(gs.spec)
+    waves = bloch_waves(gs.spec)[1]
     m = len(pair)
     first = 2 * gs.basis.size  # the first ion displacement
     n_ci = np.searchsorted(coupled, first)  # the CI coordinates come first
@@ -786,11 +758,11 @@ def _sample_tangent(gs: GroundState, rng: np.random.Generator,
 
 
 def translation_perturbation(gs: GroundState, axis: int) -> TangentVector:
-    """Unit-|.|_V rigid translation direction along one axis."""
-    kappa = np.zeros((gs.spec.n_ions, gs.spec.dimension))
-    kappa[:, axis] = 1.0
-    kappa /= np.linalg.norm(kappa)
-    return TangentVector(CIVector.zeros(gs.basis), kappa, np.zeros_like(kappa))
+    """Unit-|.|_V rigid translation direction along one axis: its removed
+    direction, normalised."""
+    y = unpack_tangent(gs.basis, _removed_directions(gs)[1 + axis])
+    y.kappa /= np.linalg.norm(y.kappa)
+    return y
 
 
 @dataclass(eq=False)

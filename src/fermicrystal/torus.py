@@ -261,39 +261,28 @@ def dft_inverse(field: FourierScalarField) -> np.ndarray:
     return np.fft.fftn(spectrum) / spec.volume
 
 
-def green_apply(
-    rho: FourierScalarField,
-    neutrality_tol: float = 1e-10,
-    *,
-    enforce_neutrality: bool = True,
-) -> FourierScalarField:
+NEUTRALITY_TOL = 1e-10  # the largest |rho_hat(0)| a neutral source may carry
+
+
+def green_apply(rho: FourierScalarField, *, enforce_neutrality: bool = True) -> FourierScalarField:
     """Solve -Laplace(Phi) = rho on the torus: divide coefficients by |xi|^2.
 
     The xi = 0 coefficient is dropped (the inverse Laplacian is defined on
     mean-free sources and returns a mean-free potential).  With
-    ``enforce_neutrality`` a residual |rho_hat(0)| above ``neutrality_tol``
+    ``enforce_neutrality`` a residual |rho_hat(0)| above ``NEUTRALITY_TOL``
     raises :class:`NeutralityError` carrying the residual.
     """
     table = rho.table
     residual = abs(rho.values[table.zero])
-    if enforce_neutrality and residual > neutrality_tol:
-        raise NeutralityError(residual, neutrality_tol)
+    if enforce_neutrality and residual > NEUTRALITY_TOL:
+        raise NeutralityError(residual, NEUTRALITY_TOL)
     return FourierScalarField(rho.spec, rho.values * table.coulomb_weight)
 
 
-def coulomb_energy(
-    rho: FourierScalarField,
-    neutrality_tol: float = 1e-10,
-    *,
-    enforce_neutrality: bool = True,
-) -> float:
+def coulomb_energy(rho: FourierScalarField, *, enforce_neutrality: bool = True) -> float:
     """Self energy (1/2) (rho, G rho) = (2 |T|)^{-1} sum_{xi != 0} |rho_hat|^2 / |xi|^2."""
-    table = rho.table
-    residual = abs(rho.values[table.zero])
-    if enforce_neutrality and residual > neutrality_tol:
-        raise NeutralityError(residual, neutrality_tol)
-    terms = np.abs(rho.values) ** 2 * table.coulomb_weight
-    return float(terms.sum() / (2.0 * rho.spec.volume))
+    phi = green_apply(rho, enforce_neutrality=enforce_neutrality)
+    return float(np.vdot(rho.values, phi.values).real / (2.0 * rho.spec.volume))
 
 
 @lru_cache(maxsize=64)
@@ -307,6 +296,30 @@ def lattice_points(spec: TorusSpec) -> np.ndarray:
     sites = integer_box(0, spec.cells_per_axis, spec.dimension)
     sites.setflags(write=False)
     return sites
+
+
+@lru_cache(maxsize=64)
+def bloch_waves(spec: TorusSpec) -> tuple:
+    """The real Bloch waves over the ion lattice, read-only: ``(partner, waves)``.
+
+    The classes h, the lattice momenta theta = 2 pi h / N, are the lattice
+    sites in their order; ``partner[h]`` is the class of -h mod N.  In each
+    pair {h, -h}, with theta that of its lower class, row h of ``waves`` is
+    the unit wave cos(theta n) for the lower class and sin(theta n) for the
+    other; a class that is its own partner takes the cosine alone.  The rows
+    are an orthonormal basis of the functions on the sites.
+    """
+    n, d = spec.cells_per_axis, spec.dimension
+    sites = lattice_points(spec)
+    m = len(sites)
+    partner = np.ravel_multi_index((-sites % n).T, (n,) * d)
+    lower = np.minimum(np.arange(m), partner)
+    phase = (TWO_PI / n) * (sites[lower] @ sites.T)
+    waves = np.where((lower == np.arange(m))[:, None], np.cos(phase), np.sin(phase))
+    waves *= np.where(partner == np.arange(m), np.sqrt(1.0 / m), np.sqrt(2.0 / m))[:, None]
+    partner.setflags(write=False)
+    waves.setflags(write=False)
+    return partner, waves
 
 
 def integer_box(low: int, high: int, d: int) -> np.ndarray:

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from fermicrystal import ConfigError, evolve
+from fermicrystal import (
+    ConfigError,
+    InvalidDensityError,
+    TorusSpec,
+    box_density,
+    evolve,
+    perturbed_box_density,
+)
 from fermicrystal.cli import (
     TRAJECTORY_HEADER,
     ArtifactWriter,
@@ -23,6 +30,8 @@ from fermicrystal.config import (
     validate_config,
 )
 from fermicrystal.stability import TrajectoryRecord, stability_experiment
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BASE_INI = """
 [model]
@@ -174,6 +183,31 @@ def test_perturbed_box_validation():
         cfg.model.decay = decay
         with pytest.raises(ConfigError, match="decay"):
             validate_config(cfg)
+
+
+@pytest.mark.parametrize("model, build", [
+    ({"kind": "box", "profile_exponent": 0}, lambda spec: box_density(spec, 0)),
+    ({"kind": "perturbed_box", "profile_exponent": 3},
+     lambda spec: perturbed_box_density(spec, k=3)),
+    ({"kind": "perturbed_box", "profile_exponent": 2, "amplitude": 0.0},
+     lambda spec: perturbed_box_density(spec, amplitude=0.0)),
+    ({"kind": "perturbed_box", "profile_exponent": 2, "decay": 0.25},
+     lambda spec: perturbed_box_density(spec, decay=0.25)),
+    ({"kind": "box", "profile_exponent": 1, "charge": -2.0},
+     lambda spec: box_density(spec, 1, Z=-2.0)),
+    ({"kind": "box", "profile_exponent": 1, "dimension": 2, "grid_per_axis": 12,
+      "charge": 1e160}, lambda spec: box_density(spec, 1, Z=1e160)),
+], ids=["box-order", "perturbed-even", "amplitude", "decay", "charge", "peak"])
+def test_density_rules_shared_with_config(model, build):
+    # the configuration refuses a density with the text its constructor gives
+    cfg = load_config(None, environ={})
+    for key, value in model.items():
+        setattr(cfg.model, key, value)
+    with pytest.raises(ConfigError) as refused:
+        validate_config(cfg)
+    with pytest.raises(InvalidDensityError) as built:
+        build(build_spec(cfg))
+    assert str(refused.value) == f"[model] {built.value}"
 
 
 def test_round_trip_dict():
@@ -529,6 +563,23 @@ def test_exit_code_bad_density_file(tmp_path, capsys):
     code = main(["--config", str(ini), "--out", str(tmp_path / "o"), "density"])
     assert code == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_exit_code_non_finite_density_sample(tmp_path, capsys, bad):
+    # a non-finite sample went through the transform with RuntimeWarnings and
+    # ended as "sigma must be real"
+    samples = ["0.5"] * 16
+    samples[9] = bad
+    blob = tmp_path / "sigma.txt"
+    blob.write_text("1 2 16 1.0 1.0 " + " ".join(samples) + "\n")
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"), "density"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "1 of 16 density samples are not finite" in err and "(9,)" in err
 
 
 def test_exit_code_density_file_invalid_torus(tmp_path, capsys):

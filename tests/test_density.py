@@ -64,6 +64,26 @@ def test_perturbed_box_rejects_slow_decay(spec2d, decay):
 
 
 @pytest.mark.parametrize("build", [
+    lambda spec: perturbed_box_density(spec, k=0),
+    lambda spec: perturbed_box_density(spec, k=-2),  # |sigma_hat| up to 6.6e32
+    lambda spec: box_density(spec, 1.5),
+], ids=["perturbed-k0", "perturbed-k-2", "box-k1.5"])
+def test_density_refuses_bad_order(spec2d, build):
+    # refused before the transform is built, so without a RuntimeWarning
+    with pytest.raises(InvalidDensityError, match="box order k"):
+        build(spec2d)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_grid_density_refuses_non_finite_samples(spec2d, bad):
+    samples = np.full((spec2d.grid_per_axis,) * 2, 0.25)
+    samples[3, 5] = samples[7, 1] = bad
+    with pytest.raises(InvalidDensityError, match=r"2 of 64 density samples are not finite, "
+                                                  r"the first at grid index \(3, 5\)"):
+        grid_density(spec2d, samples, Z=1.0, e=1.0)
+
+
+@pytest.mark.parametrize("build", [
     lambda spec: box_density(spec, 1, Z=1e160),
     lambda spec: perturbed_box_density(spec, amplitude=1e160),
 ], ids=["box-charge", "perturbed-amplitude"])
@@ -302,6 +322,42 @@ def test_wiener_series_outside_dual_cell(kind):
         expected, expected_tail = _enumerated_wiener_matrix(model, h)
         assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
         assert tail == expected_tail
+
+
+def _per_point_degeneracy_dim(report, spec):
+    """The flat-space dimension from per-point cos/sin rows, the reference
+    for ``wiener_report``'s Bloch waves: each pair {h, -h} once, at the
+    first of its points, with Re and Im of exp(-i theta n) u (Re alone
+    where the point is its own pair), ranked by singular values."""
+    ions = lattice_points(spec)
+    rows, seen = [], set()
+    for p in report.points:
+        pair = tuple(int(c) for c in -np.asarray(p.h) % spec.cells_per_axis)
+        if pair in seen:
+            continue
+        seen.add(p.h)
+        phase = ions @ p.theta
+        for u in p.kernel_basis.T:
+            rows.append((np.cos(phase)[:, None] * u[None, :]).ravel())
+            if pair != p.h:
+                rows.append((np.sin(phase)[:, None] * u[None, :]).ravel())
+    if not rows:
+        return 0
+    singular = np.linalg.svd(np.stack(rows), compute_uv=False)
+    return int((singular > 1e-9 * singular[0]).sum())
+
+
+@pytest.mark.parametrize("kind", sorted(WIENER_MODELS))
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=f"d{spec.dimension}-N{spec.cells_per_axis}")
+    for spec in [TorusSpec(2, 2, 8), TorusSpec(2, 3, 12), TorusSpec(2, 4, 16),
+                 TorusSpec(3, 2, 8), TorusSpec(3, 3, 9), TorusSpec(3, 4, 8)]
+])
+def test_degeneracy_dim_matches_per_point_waves(kind, spec):
+    report = wiener_report(WIENER_MODELS[kind](spec))
+    assert report.degeneracy_dim == _per_point_degeneracy_dim(report, spec)
+    if kind.startswith("box"):  # flat off the translations for d >= 2
+        assert report.degeneracy_dim > 0
 
 
 def test_wiener_d3_benchmark_reference():

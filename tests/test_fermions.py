@@ -26,6 +26,8 @@ from fermicrystal import (
     transition_density,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_orbital_kinetic(spec1d):
     assert orbital_kinetic(spec1d, (1,)) == pytest.approx(np.pi**2 / 2)

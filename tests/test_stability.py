@@ -227,7 +227,18 @@ def test_hessian_spectrum_d2_dichotomy(basis2d, sigma2d_box, sigma2d_perturbed):
 
 
 def removed_directions(gs):
-    return np.vstack([tangent_space_vectors(gs), charge_constraint_gradient(gs)])
+    """The removed directions built densely, one packed TangentVector each
+    (gauge, d translations, radial): the reference for ``_removed_support``,
+    whose rows the package writes out."""
+    zeros = np.zeros((gs.spec.n_ions, gs.spec.dimension))
+    psi = gs.psi_alpha()
+    rows = [TangentVector(CIVector(gs.basis, 1j * psi.values), zeros, zeros)]
+    for axis in range(gs.spec.dimension):
+        kappa = zeros.copy()
+        kappa[:, axis] = 1.0
+        rows.append(TangentVector(CIVector.zeros(gs.basis), kappa, zeros))
+    rows.append(TangentVector(psi, zeros, zeros))
+    return np.stack([pack_tangent(y) for y in rows])
 
 
 @pytest.mark.parametrize("case", ["gs1d", "perturbed2d", "mixture", "gs3d"])
@@ -247,6 +258,10 @@ def test_removed_support_is_removed_directions(case, request, gs1d, basis2d,
     assert np.all(np.diff(support) > 0)
     np.testing.assert_array_equal(rows, full[:, support])
     assert not np.delete(full, support, axis=1).any()
+    # and the packed rows the package reads are those dense ones
+    np.testing.assert_array_equal(stability._removed_directions(gs), full)
+    np.testing.assert_array_equal(tangent_space_vectors(gs), full[:-1])
+    np.testing.assert_array_equal(charge_constraint_gradient(gs), full[-1])
 
 
 def dense_spectrum(form, subspace, kernel_rtol=1e-9):
@@ -549,6 +564,18 @@ def test_hessian_gauge_row_is_zero(gs1d):
     assert quadratic_form(gs1d, y) == pytest.approx(
         gs1d.omega0 * gs1d.Z, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("case", ["gs1d", "gs3d"])
+def test_translation_perturbation_is_unit_translation(case, request):
+    gs = request.getfixturevalue(case)
+    for axis in range(gs.spec.dimension):
+        y = translation_perturbation(gs, axis)
+        expected = np.zeros((gs.spec.n_ions, gs.spec.dimension))
+        expected[:, axis] = 1.0 / np.linalg.norm(np.ones(gs.spec.n_ions))
+        np.testing.assert_array_equal(y.kappa, expected)
+        assert not y.phi.values.any() and not y.pi.any()
+        assert y.v_norm() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_hessian_translation_row_is_zero(gs1d):

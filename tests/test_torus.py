@@ -15,9 +15,11 @@ from fermicrystal import (
     green_apply,
     lattice_points,
 )
-from fermicrystal.torus import integer_box
+from fermicrystal.torus import bloch_waves, integer_box
 
 TWO_PI = 2.0 * np.pi
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_field(spec, rng):
@@ -214,6 +216,29 @@ def test_lattice_points_built_once_read_only(d, n, n_g):
     with pytest.raises(ValueError):
         pts[0, 0] = 1
     assert lattice_points(TorusSpec(d, n, n_g)) is pts
+
+
+@pytest.mark.parametrize("d, n, n_g", [(1, 3, 6), (2, 2, 8), (2, 4, 8), (3, 3, 9), (3, 4, 8)])
+def test_bloch_waves(d, n, n_g):
+    spec = TorusSpec(d, n, n_g)
+    sites = lattice_points(spec)
+    partner, waves = bloch_waves(spec)
+    m = len(sites)
+    np.testing.assert_array_equal(sites[partner], -sites % n)
+    np.testing.assert_array_equal(partner[partner], np.arange(m))
+    assert np.abs(waves @ waves.T - np.eye(m)).max() <= 1e-15
+    # the lower class of a pair takes cos(theta n), the other its sine
+    for h in range(m):
+        lower = min(h, partner[h])
+        phase = (TWO_PI / n) * (sites @ sites[lower])
+        wave = np.cos(phase) if h == lower else np.sin(phase)
+        np.testing.assert_allclose(wave / np.linalg.norm(wave), waves[h], atol=1e-15)
+    for array in (partner, waves):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    again = bloch_waves(TorusSpec(d, n, n_g))
+    assert again[0] is partner and again[1] is waves
 
 
 @settings(max_examples=25, deadline=None)
