@@ -198,8 +198,6 @@ def validate_config(cfg: RunConfig) -> None:
         _check_charge(m.charge * m.coupling, m.amplitude if perturbed else 0.0, m.dimension)
     except InvalidDensityError as exc:
         raise ConfigError(f"[model] {exc}") from None
-    if m.cutoff_radius < 0:
-        raise ConfigError("cutoff_radius must be nonnegative")
     b = cfg.basis
     if b.ksq_budget < 0:
         raise ConfigError("ksq_budget must be nonnegative")

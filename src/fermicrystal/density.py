@@ -48,7 +48,8 @@ amplitude, one decay), so for a signed axis permutation S, which keeps
 |xi| and the ball, Sigma(S theta) = S Sigma(theta) S^T: the Wiener scan
 sums once per orbit of the dual cell (3 sums for the 7 points at d = 3,
 N = 2) and maps the other points.  Sampled kinds (grid, fourier) need
-neither symmetry: they are summed on the product grid at every point.
+neither symmetry: at every point they are summed over the retained
+frequencies of its lattice class, the table rows h' = h mod N.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def load_density_file(path) -> IonDensityModel:
     """Read a grid density file: header ``d N n_g Z e``, then n_g^d samples.
 
     Samples are whitespace separated in C order (last axis fastest).  A path
-    that cannot be read raises :class:`ConfigError`.
+    that cannot be read raises :class:`ConfigError`; a file no density can
+    come from raises :class:`InvalidDensityError` naming the path.
     """
     try:
         with open(path) as handle:
@@ -292,7 +294,10 @@ def load_density_file(path) -> IonDensityModel:
         raise InvalidDensityError(
             f"density file {path}: expected {n_g**d} samples, found {values.size}"
         )
-    return grid_density(spec, values.reshape((n_g,) * d), z_val, e_val)
+    try:  # the sample and model rules are grid_density's
+        return grid_density(spec, values.reshape((n_g,) * d), z_val, e_val)
+    except InvalidDensityError as exc:
+        raise InvalidDensityError(f"density file {path}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -577,7 +582,8 @@ def _separable_sum(tables: tuple, h: tuple, n: int, truncation_radius: float) ->
 
 
 def _sampled_sum(model: IonDensityModel, h: tuple, truncation_radius: float):
-    """(Sigma(theta), tail bound) of a sampled density, summed on the grid.
+    """(Sigma(theta), tail bound) of a sampled density, summed over the class
+    of h: the retained h' = h mod N, at xi = theta + 2 pi (h' - h) / N.
 
     A sampled transform exists only on the retained set: the truncation is
     clamped to the largest ball the per-axis alias clip keeps intact, and
@@ -585,45 +591,31 @@ def _sampled_sum(model: IonDensityModel, h: tuple, truncation_radius: float):
     C fitted on the outer half.
     """
     spec = model.spec
-    d, n = spec.dimension, spec.cells_per_axis
+    n = spec.cells_per_axis
     clip = (TWO_PI / n) * ((spec.grid_per_axis - 1) // 2)
     truncation_radius = min(truncation_radius, spec.cutoff_radius, clip)
-    theta = spec.xi(np.asarray(h))
-    axes = [_axis_lattice(t, truncation_radius, False).reshape((-1,) + (1,) * (d - 1 - i))
-            for i, t in enumerate(theta)]
-    xi_sq = sum(a**2 for a in axes)
-    # |xi|^2 is (2 pi / N)^2 times an integer, so no |xi|^2 lies within
-    # rounding of (R + 1e-12)^2: this keeps the points |xi| <= R + 1e-12 keeps
-    keep = (xi_sq <= (truncation_radius + 1e-12) ** 2) & (xi_sq > 1e-24)
-    kept = np.stack([np.broadcast_to(a, keep.shape)[keep] for a in axes], axis=1)
-    amp2 = np.zeros(keep.shape)
-    amp2[keep] = np.abs(model.sigma_tilde(kept)) ** 2
-    r = np.sqrt(xi_sq)
-    # Sigma_ij = sum w xi_i xi_j, contracted through the marginals of w;
-    # xi_sq is not read again, so w takes its place (finite, so the mask
-    # zeroes the dropped entries exactly)
-    w = np.divide(amp2, xi_sq, out=xi_sq, where=keep)
-    w *= keep
-    coords = [a.ravel() for a in axes]
-    matrix = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            marginal = w.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
-            matrix[i, j] = matrix[j, i] = (
-                coords[i] ** 2 @ marginal if i == j else coords[i] @ marginal @ coords[j]
-            )
-    outer = keep & (r > 0.5 * truncation_radius)
+    table = model.field.table
+    rows = np.flatnonzero(table.lattice_class == np.ravel_multi_index(h, (n,) * len(h)))
+    # theta_i + 2 pi m_i, the bits of the shifted 1-d lattices theta_i + 2 pi Z
+    xi = spec.xi(np.asarray(h)) + TWO_PI * ((table.h[rows] - h) // n)
+    r = np.sqrt((xi**2).sum(axis=1))
+    keep = r <= truncation_radius + 1e-12
+    xi, r, amp2 = xi[keep], r[keep], np.abs(model.field.values[rows[keep]]) ** 2
+    # Sigma = S^T S with rows |sigma_hat| xi / |xi|; numpy hands S^T S to
+    # syrk, so Sigma is exactly symmetric
+    s = xi * (np.sqrt(amp2) / r)[:, None]
+    outer = r > 0.5 * truncation_radius
     if outer.any():
         c_decay = float((np.sqrt(amp2[outer]) * r[outer] ** 2).max())
     else:
         c_decay = float(abs(model.charge))
-    return matrix, c_decay**2 * _lattice_ball_tail(truncation_radius, spec.dimension)
+    return s.T @ s, c_decay**2 * _lattice_ball_tail(truncation_radius, spec.dimension)
 
 
 def _orbit_sum(model: IonDensityModel, h: tuple, truncation_radius: float,
                tables: Optional[tuple]):
     """(Sigma(theta), tail bound) at the dual-cell index h, one call per orbit:
-    from the scan's rank tables, or on the grid for a sampled kind (None)."""
+    from the scan's rank tables, or over h's class for a sampled kind (None)."""
     if tables is None:
         return _sampled_sum(model, h, truncation_radius)
     matrix = _separable_sum(tables, h, model.spec.cells_per_axis, truncation_radius)
@@ -648,8 +640,9 @@ def wiener_matrix(
     of the kernel 1/|xi|^2 on the ball against 1-d tables.  Axes with
     theta_i in {0, pi} are folded onto xi_i >= 0, their off-diagonal
     entries exact zeros.  The tail bound is the rigorous per-axis one.
-    Sampled kinds sum |sigma_hat|^2 xi xi^T / |xi|^2 on the product grid,
-    with the fitted tail model of the retained cutoff.
+    Sampled kinds sum |sigma_hat|^2 xi xi^T / |xi|^2 over the retained
+    frequencies of theta's lattice class, with the fitted tail model of the
+    retained cutoff.
     """
     spec = model.spec
     d, n = spec.dimension, spec.cells_per_axis

@@ -32,10 +32,6 @@ from .torus import FourierScalarField, TorusSpec, frequency_table, integer_box
 
 Occupation = tuple  # tuple of integer h-tuples, lexicographically sorted
 
-# cached offset bins of ``SubstitutionTable._scatter`` kept at most, in
-# entries (8 bytes each); the cache starts over once it holds more
-_ROW_BINS_ENTRIES = 1 << 22
-
 
 def orbital_kinetic(spec: TorusSpec, h) -> float:
     """Kinetic energy |xi|^2 / 2 of one plane-wave orbital."""
@@ -198,8 +194,7 @@ class SubstitutionTable:
         self.zero = table.zero
         self.n_electrons = basis.n_electrons
         self.volume = basis.spec.volume
-        self._row_bins = {}  # (index name, rows) -> offset bins, see _scatter
-        self._row_bins_entries = 0
+        self._row_bins = {}  # index name -> offset bins, see _scatter
 
     def gather(self, c: np.ndarray) -> np.ndarray:
         """``c[..., src] * sign``: the source coefficient of every entry.
@@ -217,23 +212,17 @@ class SubstitutionTable:
 
         Rows are flattened into one ``np.add.at`` with offset bins, which
         keeps each bin's additions in entry order, so every row gets the
-        bits of its own single-row scatter.  The offset bins are built once
-        per index and row count: a stage solve sees a handful of counts.
+        bits of its own single-row scatter.  Row r's bins are
+        ``index + r * size`` whatever the row count, so one raveled array
+        per index, for the largest stack seen, serves every stack through
+        its first ``terms.size`` entries.
         """
         out = np.zeros(terms.shape[:-1] + (size,), dtype=complex)
-        if out.ndim == 1:
-            np.add.at(out, getattr(self, index), terms)
-            return out
-        key = (index, len(out))
-        bins = self._row_bins.get(key)
-        if bins is None:
-            if self._row_bins_entries > _ROW_BINS_ENTRIES:
-                self._row_bins.clear()
-                self._row_bins_entries = 0
-            bins = getattr(self, index) + size * np.arange(len(out))[:, None]
-            bins = self._row_bins[key] = bins.ravel()
-            self._row_bins_entries += bins.size
-        np.add.at(out.reshape(-1), bins, terms.reshape(-1))
+        bins = self._row_bins.get(index)
+        if bins is None or bins.size < terms.size:
+            bins = getattr(self, index) + size * np.arange(out.size // size)[:, None]
+            bins = self._row_bins[index] = bins.ravel()
+        np.add.at(out.reshape(-1), bins[:terms.size], terms.reshape(-1))
         return out
 
     def transition_values(self, c: np.ndarray, d: np.ndarray,

@@ -428,10 +428,9 @@ def _join(group: np.ndarray, members: np.ndarray) -> None:
 def _response_pairs(spec) -> tuple:
     """Read-only ``(pair, indicator)``: ``pair[h]`` is the lower class of {h, -h},
     and ``indicator[p, r]`` is 1 where response row r lies in pair p."""
-    n, d = spec.cells_per_axis, spec.dimension
     partner = bloch_waves(spec)[0]
     pair = np.minimum(np.arange(len(partner)), partner)
-    rows = pair[np.ravel_multi_index((frequency_table(spec).h % n).T, (n,) * d)]
+    rows = pair[frequency_table(spec).lattice_class]
     indicator = (np.tile(rows, 2) == np.arange(len(pair))[:, None]).astype(float)
     for array in (pair, indicator):
         array.setflags(write=False)

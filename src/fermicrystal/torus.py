@@ -46,10 +46,11 @@ class TorusSpec:
         Real-space grid size n_g per axis.  Must be a multiple of N so
         every lattice translation is a whole number of grid steps.
     cutoff_radius : float, optional
-        Frequencies with |xi| <= cutoff_radius are retained.  Defaults to
-        2 pi n_g / (2 N), the grid Nyquist radius.  Retained indices are
-        additionally clipped to |h_j| <= (n_g - 1) // 2 per axis so no
-        retained frequency aliases another on the grid.
+        Frequencies with |xi| <= cutoff_radius are retained.  Finite and
+        >= 0; 0 means the default 2 pi n_g / (2 N), the grid Nyquist
+        radius.  Retained indices are additionally clipped to
+        |h_j| <= (n_g - 1) // 2 per axis so no retained frequency aliases
+        another on the grid.
     """
 
     dimension: int
@@ -68,7 +69,10 @@ class TorusSpec:
                 f"grid_per_axis must be a multiple of cells_per_axis and at "
                 f"least 2, got n_g = {n_g}, N = {n}"
             )
-        if self.cutoff_radius <= 0.0:
+        if not 0.0 <= self.cutoff_radius < np.inf:  # nan fails too
+            raise ValueError(
+                f"cutoff_radius must be finite and nonnegative, got {self.cutoff_radius}")
+        if self.cutoff_radius == 0.0:
             object.__setattr__(self, "cutoff_radius", TWO_PI * n_g / (2 * n))
 
     @property
@@ -107,18 +111,21 @@ class FrequencyTable:
     conj : (n_freq,) int array, position of -h for each h.  The retained set
         is centrally symmetric and sorted, so this is n_freq - 1 - f.
     zero : int, position of h = 0, the middle one (n_freq - 1) // 2.
-    gamma_star : (n_freq,) bool mask of frequencies on 2 pi Z^d.
+    lattice_class : (n_freq,) int array, the class h mod N of each frequency,
+        numbered like the sites of ``lattice_points`` and the classes of
+        ``bloch_waves``.
+    gamma_star : (n_freq,) bool mask of frequencies on 2 pi Z^d, class 0.
     """
 
     def __init__(self, spec: TorusSpec):
         d, n, n_g = spec.dimension, spec.cells_per_axis, spec.grid_per_axis
-        h_cut = int(np.floor(spec.cutoff_radius * n / TWO_PI + 1e-9))
-        h_max = min(h_cut, (n_g - 1) // 2)
+        # the product may overflow to inf for a huge finite cutoff; min drops it
+        h_cut = np.floor(spec.cutoff_radius * n / TWO_PI + 1e-9)
+        h_max = int(min(h_cut, (n_g - 1) // 2))
         h = integer_box(-h_max, h_max + 1, d)
         xi = spec.xi(h)
         keep = np.sqrt((xi**2).sum(axis=1)) <= spec.cutoff_radius + 1e-12
-        h = h[keep]
-        h = h[np.lexsort(h.T[::-1])]
+        h = h[keep]  # the box lists its rows in lex order, and the mask keeps it
 
         self.spec = spec
         self.h = h
@@ -128,7 +135,8 @@ class FrequencyTable:
         nonzero = np.any(h != 0, axis=1)
         self.coulomb_weight = np.zeros(self.size)
         self.coulomb_weight[nonzero] = 1.0 / self.xi_sq[nonzero]
-        self.gamma_star = np.all(h % n == 0, axis=1)
+        self.lattice_class = np.ravel_multi_index((h % n).T, (n,) * d)
+        self.gamma_star = self.lattice_class == 0
         self._grid_flat = np.ravel_multi_index((h % n_g).T, (n_g,) * d)
         # grid slot -> table position; slots of no retained index keep -1,
         # which ``lookup`` rejects by comparing with the row of h it reads

@@ -165,6 +165,11 @@ def test_validate_config_torus_rules():
     cfg.model.grid_per_axis = 1
     with pytest.raises(ConfigError, match="grid_per_axis"):
         validate_config(cfg)
+    # and so is the cutoff rule
+    cfg = load_config(None, environ={})
+    cfg.model.cutoff_radius = -5.0
+    with pytest.raises(ConfigError, match=r"\[model\] cutoff_radius must be finite"):
+        validate_config(cfg)
 
 
 def test_perturbed_box_validation():
@@ -580,6 +585,21 @@ def test_exit_code_non_finite_density_sample(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "1 of 16 density samples are not finite" in err and "(9,)" in err
+    assert str(blob) in err
+
+
+def test_exit_code_density_file_charge_mismatch(tmp_path, capsys):
+    # sixteen 0.25 samples on a length-2 torus carry e Z = 0.5, not the
+    # header's 1: the model's refusal names the file too
+    blob = tmp_path / "sigma.txt"
+    blob.write_text("1 2 16 1.0 1.0 " + " ".join(["0.25"] * 16) + "\n")
+    ini = tmp_path / "file.ini"
+    ini.write_text(f"[model]\nkind = file\ndensity_file = {blob}\n")
+    code = main(["--config", str(ini), "--out", str(tmp_path / "o"), "density"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "does not match e Z" in err and str(blob) in err
 
 
 def test_exit_code_density_file_invalid_torus(tmp_path, capsys):

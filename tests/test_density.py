@@ -546,6 +546,16 @@ def test_wiener_ball_keeps_its_shell(spec, h):
     assert np.abs(matrix - inside).max() > 1e-6 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_wiener_sampled_exactly_symmetric(d):
+    # S^T S goes to syrk, which fills one triangle from the other; a plain
+    # (xi^T * w) @ xi differs across the diagonal in the last bit
+    model = WIENER_MODELS["grid"](WIENER_SPECS[d])
+    for h in map(tuple, lattice_points(model.spec)[1:].tolist()):
+        matrix, _ = wiener_matrix(model, h)
+        assert np.array_equal(matrix, matrix.T)
+
+
 @pytest.mark.parametrize("spec", [TorusSpec(2, 2, 16), TorusSpec(2, 3, 12)])
 def test_wiener_sampled_not_folded(spec):
     # a Gaussian stretched along the diagonal: |sigma_hat|^2 has a xi_1 xi_2

@@ -219,6 +219,23 @@ def test_substitution_table_signs(spec1d):
         assert sign == (-1 if (a - b) % 2 else 1)
 
 
+def test_scatter_any_row_count(basis2d):
+    # one offset-bin array per index serves every stack: 5 rows build it, 2
+    # read its first entries, 7 rebuild it, and one row reads its first;
+    # each row keeps the bits of its own np.add.at
+    sub = SubstitutionTable(basis2d)
+    rng = np.random.default_rng(11)
+    for lead in ((5,), (2,), (7,), ()):
+        shape = lead + sub.src.shape
+        terms = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for index, size in (("delta", sub.n_freq), ("dst", basis2d.size)):
+            out = sub._scatter(index, size, terms)
+            for row in np.ndindex(lead):
+                expected = np.zeros(size, dtype=complex)
+                np.add.at(expected, getattr(sub, index), terms[row])
+                assert np.array_equal(out[row], expected)
+
+
 def grid_orbital(spec, h):
     # plane-wave orbital exp(i k x) / sqrt |T| sampled on the grid
     axes = np.meshgrid(*([spec.grid_axes()] * spec.dimension), indexing="ij")

@@ -848,6 +848,28 @@ def test_cutoff_convergence_d1(spec1d, sigma1d, gs1d):
     assert abs(finals[0] - finals[1]) <= 1e-8
 
 
+def test_cutoff_convergence_d2():
+    # one perturbation of the 7 pi^2 basis on the d = 2 perturbed box, run
+    # there and embedded into the 9 pi^2 basis (B = 277 and 918), gives the
+    # same distance at T = 0.4
+    spec = TorusSpec(2, 2, 12)
+    sigma = perturbed_box_density(spec, k=2, amplitude=0.5, decay=2.0)
+    gs = build_ground_state(enumerate_basis(spec, 7.0 * np.pi**2), sigma)
+    y = sample_tangent_perturbation(gs, np.random.default_rng(5))
+    sizes, finals = [], []
+    for budget in (7.0, 9.0):
+        basis = enumerate_basis(spec, budget * np.pi**2)
+        phi = np.zeros(basis.size, dtype=complex)
+        phi[[basis.index[occ] for occ in gs.basis.sets]] = y.phi.values
+        embedded = TangentVector(CIVector(basis, phi), y.kappa, y.pi)
+        record = run_trajectory(build_ground_state(basis, sigma), embedded, 1e-2,
+                                duration=0.4, dt=4e-3)
+        sizes.append(basis.size)
+        finals.append(record.final_distance)
+    assert sizes == [277, 918]
+    assert abs(finals[0] - finals[1]) <= 1e-8
+
+
 def test_stability_experiment_structure(gs1d):
     result = stability_experiment(
         gs1d, deltas=[1e-3, 1e-2], n_perturbations=2, duration=0.1, dt=1e-3,

@@ -39,6 +39,20 @@ def test_spec_validation():
     assert spec.cutoff_radius == pytest.approx(TWO_PI * 12 / 4)
 
 
+@pytest.mark.parametrize("cutoff", [-5.0, float("nan"), float("inf")])
+def test_spec_refuses_bad_cutoff(cutoff):
+    # a negative cutoff became the default, nan and inf failed later in the
+    # frequency table
+    with pytest.raises(ValueError, match="cutoff_radius must be finite and nonnegative"):
+        TorusSpec(1, 2, 16, cutoff_radius=cutoff)
+
+
+def test_huge_finite_cutoff_is_clipped():
+    # cutoff * N overflows to inf; the grid's alias clip still bounds the box
+    table = frequency_table(TorusSpec(1, 2, 16, cutoff_radius=1e308))
+    assert np.array_equal(table.h[:, 0], np.arange(-7, 8))
+
+
 def test_frequency_table_no_aliasing():
     # retained indices stay below the per-axis alias limit even for a huge cutoff
     spec = TorusSpec(1, 2, 8, cutoff_radius=1e6)
@@ -58,6 +72,18 @@ def test_frequency_table_structure(spec1d):
     assert np.array_equal(table.gamma_star, table.h[:, 0] % 2 == 0)
     # lexicographic order
     assert np.array_equal(table.h, table.h[np.lexsort(table.h.T[::-1])])
+
+
+@pytest.mark.parametrize("geometry", [(1, 2, 16), (2, 3, 12), (3, 2, 8), (3, 3, 9)])
+def test_frequency_table_lattice_class(geometry):
+    # the class h mod N, numbered like the lattice sites; gamma* is class 0
+    spec = TorusSpec(*geometry)
+    table = frequency_table(spec)
+    n = spec.cells_per_axis
+    expected = np.ravel_multi_index((table.h % n).T, (n,) * spec.dimension)
+    assert np.array_equal(table.lattice_class, expected)
+    assert np.array_equal(lattice_points(spec)[table.lattice_class], table.h % n)
+    assert np.array_equal(table.gamma_star, table.lattice_class == 0)
 
 
 @pytest.mark.parametrize("geometry, cutoff", [
