@@ -76,7 +76,11 @@ class ArtifactWriter:
         self.cfg = cfg
         self.seed = seed
         self.outputs = []
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as caught:  # a file at the path or above it
+            raise ConfigError(
+                f"cannot create output directory {directory}: {caught.strerror}") from None
 
     def write_json(self, name: str, payload: dict) -> str:
         data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

@@ -691,6 +691,8 @@ def wiener_report(
     spec = model.spec
     n, d = spec.cells_per_axis, spec.dimension
     cell = lattice_points(spec)[1:]  # the dual cell {0..N-1}^d without its first point, the origin
+    if not len(cell):  # N = 1: no point to scan, so the condition holds vacuously
+        return WienerReport([], True, 0, truncation_radius, 0.0, 0.0)
     if model.closed_form:
         # theta = S theta_canon for a signed axis permutation S, and
         # Sigma(S theta) = S Sigma(theta) S^T

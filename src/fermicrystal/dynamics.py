@@ -40,7 +40,8 @@ are formed (the second variation takes them at q = r).  They are laid out
 ions first, (n_ions, n_freq), so the ion sum of rho and the force
 contraction run over contiguous frequencies, and they are cos + i sin of a
 real angle, the bits of the complex exp without a complex product.  The
-Coulomb weight is the frequency table's ``coulomb_weight``.
+Coulomb weight is the table's ``pairing_weight`` 1/(|xi|^2 |T|), so the
+forces and the potential action take phi = rho * it, which is Phi_hat / |T|.
 
 A stage evaluation, ``_rhs_raw``, returns the coupling part of the flow,
 (G, q_dot, p_dot) with G = i e Phi tensor psi, and gathers the source
@@ -172,11 +173,10 @@ class _FlowPlan:
         self.phases_shape = (spec.n_ions, table.size)
         self.sigma_hat = sigma.field.values
         self.conj_sigma_hat = np.conj(sigma.field.values)
-        self.coulomb_weight = table.coulomb_weight
+        self.pairing_weight = table.pairing_weight
         self.kinetic = basis.kinetic
         self.free = 1j * basis.kinetic  # c_dot = G - free * c
         self.ie = 1j * sigma.e  # G = ie (Phi tensor psi)
-        self.volume = spec.volume
         self.e = sigma.e
 
     def ion_phases(self, q: np.ndarray) -> np.ndarray:
@@ -214,13 +214,13 @@ class _FlowPlan:
 
     def forces(self, phi: np.ndarray, phases: np.ndarray) -> np.ndarray:
         weights = self.ixi * (phi * self.conj_sigma_hat)[..., None]
-        return (phases.conj() @ weights).real / self.volume
+        return (phases.conj() @ weights).real
 
     def energy(self, c, rho, p, mass) -> np.ndarray:
         """E of the rows (c, p) whose total charge density is rho."""
         kinetic_e = (self.kinetic * np.abs(c) ** 2).sum(axis=-1)
-        terms = np.abs(rho) ** 2 * self.coulomb_weight
-        coulomb = terms.sum(axis=-1) / (2.0 * self.volume)
+        terms = np.abs(rho) ** 2 * self.pairing_weight
+        coulomb = terms.sum(axis=-1) / 2.0
         momenta = (p**2).reshape(p.shape[:-2] + (-1,))
         kinetic_i = momenta.sum(axis=-1) / (2.0 * mass)
         return kinetic_e + coulomb + kinetic_i
@@ -237,7 +237,7 @@ def _rhs_raw(plan: _FlowPlan, c, q, p, mass, density=None):
     """
     gathered = plan.substitutions.gather(c)
     phases, rho = plan.density(c, q, gathered) if density is None else density
-    phi = rho * plan.coulomb_weight
+    phi = rho * plan.pairing_weight
     coupling = plan.substitutions.potential_values(c, phi, gathered)
     return plan.ie * coupling, p / mass, plan.forces(phi, phases)
 
@@ -276,7 +276,7 @@ def forces(state: CrystalState, sigma: IonDensityModel) -> np.ndarray:
     """
     plan = _FlowPlan(state.psi.basis, sigma)
     phases, rho = plan.density(state.psi.values, state.ions.q)
-    return plan.forces(rho * plan.coulomb_weight, phases)
+    return plan.forces(rho * plan.pairing_weight, phases)
 
 
 @dataclass(eq=False)

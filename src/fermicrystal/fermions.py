@@ -193,7 +193,6 @@ class SubstitutionTable:
         self.n_freq = table.size
         self.zero = table.zero
         self.n_electrons = basis.n_electrons
-        self.volume = basis.spec.volume
         self._row_bins = {}  # index name -> offset bins, see _scatter
 
     def gather(self, c: np.ndarray) -> np.ndarray:
@@ -244,15 +243,14 @@ class SubstitutionTable:
 
     def potential_values(self, c: np.ndarray, phi: np.ndarray,
                          gathered: np.ndarray = None) -> np.ndarray:
-        """Values of ``apply_one_body_potential`` for raw c and Phi_hat arrays,
+        """Values of ``apply_one_body_potential`` for raw c and phi arrays,
         single or stacked in rows like ``transition_values``, which also
-        takes ``gathered``."""
+        takes ``gathered``.  phi is Phi_hat / |T|, the matrix elements."""
         if gathered is None:
             gathered = self.gather(c)
-        volume = self.volume
-        terms = gathered * phi.take(self.neg_delta, axis=-1) / volume
+        terms = gathered * phi.take(self.neg_delta, axis=-1)
         out = self._scatter("dst", c.shape[-1], terms).T
-        out += self.n_electrons * phi.T[self.zero] / volume * c.T
+        out += self.n_electrons * phi.T[self.zero] * c.T
         return out.T
 
 
@@ -271,6 +269,7 @@ class DeterminantBasis:
         ksq = (spec.xi(self.orbitals) ** 2).sum(axis=-1)
         self.ksq_total = np.add.accumulate(ksq, axis=1)[:, -1]
         self.kinetic = self.ksq_total / 2.0
+        self.h1_weight = 1.0 + self.ksq_total  # the H^1 norm's weight per set
         self._substitutions = None
 
     @property
@@ -330,8 +329,7 @@ def ci_inner(psi: CIVector, chi: CIVector) -> complex:
 
 
 def h1_norm(psi: CIVector) -> float:
-    weight = 1.0 + psi.basis.ksq_total
-    return float(np.sqrt((weight * np.abs(psi.values) ** 2).sum()))
+    return float(np.sqrt((psi.basis.h1_weight * np.abs(psi.values) ** 2).sum()))
 
 
 def apply_kinetic(psi: CIVector) -> CIVector:
@@ -364,9 +362,10 @@ def apply_one_body_potential(psi: CIVector, phi: FourierScalarField) -> CIVector
 
     Matrix elements are Phi_hat(k - k') / |T| on single substitutions and
     N_bar Phi_hat(0) / |T| on the diagonal; substituted determinants
-    outside the basis are dropped (the projection).
+    outside the basis are dropped (the projection).  |T| divides Phi_hat once.
     """
     basis = psi.basis
     if phi.spec != basis.spec:
         raise DimensionMismatchError("potential lives on a different torus")
-    return CIVector(basis, basis.substitutions().potential_values(psi.values, phi.values))
+    elements = phi.values / basis.spec.volume
+    return CIVector(basis, basis.substitutions().potential_values(psi.values, elements))

